@@ -284,8 +284,8 @@ def _parse_scope(text: str):
         return FULL_BINARY
     if text.startswith("runs:"):
         parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError("runs scope must look like runs:<a>:<b> with counts or inf")
+        if len(parts) != 3 or not all(p == "inf" or p.isdecimal() for p in parts[1:]):
+            raise CliError(f"bad scope {text!r}: use runs:<a>:<b> with non-negative counts or inf")
         bounds = [None if p == "inf" else int(p) for p in parts[1:]]
         return BoundedLetterRuns(bounds[0], bounds[1])
     if text.startswith("file:"):

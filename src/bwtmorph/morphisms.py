@@ -204,20 +204,24 @@ def is_sturmian(m: Morphism) -> bool:
     """
     _require_injective(m)
     terminal = {IDENTITY.images, EXCHANGE.images}
+    if m.images in terminal:
+        return True
     failed: set[tuple[Word, Word]] = set()
-
-    def search(u: Word, v: Word) -> bool:
-        if (u, v) in terminal:
-            return True
-        if (u, v) in failed:
-            return False
-        for _, (pu, pv) in _elementary_peels(u, v):
-            if search(pu, pv):
+    # Depth-first over peel chains, one open peel iterator per level: a
+    # chain can be as long as the images, too deep for recursion.
+    stack = [(m.images, _elementary_peels(*m.images))]
+    while stack:
+        images, peels = stack[-1]
+        for _, peeled in peels:
+            if peeled in terminal:
                 return True
-        failed.add((u, v))
-        return False
-
-    return search(*m.images)
+            if peeled not in failed:
+                stack.append((peeled, _elementary_peels(*peeled)))
+                break
+        else:
+            failed.add(images)
+            stack.pop()
+    return False
 
 
 def factor_through_tau(m: Morphism) -> Morphism | None:
@@ -271,11 +275,15 @@ def parse_morphism(text: str, target_letters: str | None = None) -> ParsedMorphi
 
     Source alphabet order follows the listing order of the pairs; the
     target alphabet defaults to the ASCII-sorted set of letters appearing
-    in the images, unless an explicit letter order is given.
+    in the images, unless an explicit letter order is given. A named
+    morphism maps a and b to words over a and b; with an explicit letter
+    order it parses as that ``a=..,b=..`` text.
     """
     if "=" not in text:
         m = named_morphism(text)
-        return ParsedMorphism(m, BINARY, Alphabet(target_letters or "ab"))
+        if not target_letters:
+            return ParsedMorphism(m, BINARY, BINARY)
+        text = format_morphism(m, BINARY, BINARY)
     pairs = []
     for part in text.split(","):
         if "=" not in part:

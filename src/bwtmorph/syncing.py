@@ -65,25 +65,28 @@ def _decode(word: Word, images: tuple[Word, ...]) -> tuple[int, ...] | None:
 
     Depth-first with dead-position memoization; a two-word code admits at
     most one factorization per word, so the first complete parse is it.
+    The parse so far is the path: backtracking pops its last codeword and
+    tries the next one at the same position.
     """
     dead: set[int] = set()
     seq: list[int] = []
-
-    def walk(pos: int) -> bool:
-        if pos == len(word):
-            return True
-        if pos in dead:
-            return False
-        for idx, img in enumerate(images):
-            if word.startswith(img, pos):
-                seq.append(idx)
-                if walk(pos + len(img)):
-                    return True
-                seq.pop()
+    pos = nxt = 0
+    while pos < len(word):
+        idx = len(images) if pos in dead else nxt
+        while idx < len(images) and not word.startswith(images[idx], pos):
+            idx += 1
+        if idx < len(images):
+            seq.append(idx)
+            pos += len(images[idx])
+            nxt = 0
+            continue
         dead.add(pos)
-        return False
-
-    return tuple(seq) if walk(0) else None
+        if not seq:
+            return None
+        last = seq.pop()
+        pos -= len(images[last])
+        nxt = last + 1
+    return tuple(seq)
 
 
 def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]:
@@ -98,18 +101,22 @@ def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]
         raise ValueError("circular factorization needs a non-empty word")
     n = len(w)
     doubled = w + w
-    found: dict[frozenset[int], CircularFactorization] = {}
+    found: list[CircularFactorization] = []
+    covered: set[int] = set()
     for offset in range(n):
+        # The code is uniquely decipherable, so decoding from a cut of a
+        # factorization found earlier would only find that one again.
+        if offset in covered:
+            continue
         seq = _decode(doubled[offset : offset + n], m.images)
         if seq is None:
             continue
-        cuts = []
         pos = offset
         for idx in seq:
-            cuts.append(pos % n)
+            covered.add(pos % n)
             pos += len(m.images[idx])
-        found.setdefault(frozenset(cuts), CircularFactorization(offset, seq))
-    return sorted(found.values())
+        found.append(CircularFactorization(offset, seq))
+    return found
 
 
 def _binary_words_up_to(limit: int) -> Iterator[Word]:

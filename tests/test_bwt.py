@@ -2,8 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtmorph.bwt import (
+    _SMALL_SORT_LIMIT,
     _rotation_order_doubling,
     bwt,
     bwt_of_power,
@@ -18,13 +21,16 @@ w = BINARY.word
 TERNARY = Alphabet("abc")
 
 
-def brute_bwt(word):
-    # Sort explicit (rotation, shift) pairs; last symbols spell the transform.
+def slice_order(word):
+    # Rotations compared as explicit slices, equal ones by ascending shift.
     n = len(word)
-    rows = sorted((word[i:] + word[:i], i) for i in range(n))
-    transformed = bytes(row[-1] for row, _ in rows)
-    index = next(k for k, (_, i) in enumerate(rows) if i == 0)
-    return transformed, index
+    return sorted(range(n), key=lambda i: (word[i:] + word[:i], i))
+
+
+def brute_bwt(word):
+    # The last symbols of the explicitly sorted rotations spell the transform.
+    order = slice_order(word)
+    return bytes(word[i - 1] for i in order), order.index(0)
 
 
 def test_known_transforms():
@@ -52,18 +58,48 @@ def test_matches_brute_force():
             assert bwt(word) == brute_bwt(word)
 
 
+def fibonacci_dollar(min_length):
+    # The first Fibonacci word of at least min_length letters over $ < a < b,
+    # closed by the terminator $.
+    word = w("a")
+    while len(word) < min_length:
+        word = FIBONACCI.apply(word)
+    return bytes(s + 1 for s in word) + b"\x00"
+
+
 def test_doubling_path_matches_small_path():
     rng = random.Random(3)
     for _ in range(100):
         word = bytes(rng.randint(0, 2) for _ in range(rng.randint(1, 60)))
         assert _rotation_order_doubling(word) == rotation_order(word)
+    words = [b"\x00", b"\x01", b"\x00\x01", b"\x01\x00", b"\x01\x01"]
+    words += [bytes([s]) * n for s in (0, 2) for n in (3, 64, 1500)]
+    words += [z * p for z in (w("ab"), w("aab"), w("abbab")) for p in (1, 2, 7, 400)]
+    words += [fibonacci_dollar(length) for length in (5, 100, 1000, 3000)]
+    words += [
+        bytes(rng.randint(0, 1) for _ in range(n))
+        for n in (_SMALL_SORT_LIMIT - 1, _SMALL_SORT_LIMIT, _SMALL_SORT_LIMIT + 1)
+    ]
+    words.append(w("ab") * (_SMALL_SORT_LIMIT // 2) + w("a"))
+    for word in words:
+        expected = slice_order(word)
+        assert _rotation_order_doubling(word) == expected
+        assert rotation_order(word) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=80).map(bytes), st.integers(1, 4))
+def test_doubling_order_is_the_slice_order_with_shift_ties(root, power):
+    word = root * power
+    assert _rotation_order_doubling(word) == slice_order(word)
 
 
 def test_large_word_uses_doubling_and_round_trips():
     rng = random.Random(4)
-    word = bytes(rng.randint(0, 1) for _ in range(3000))
-    res = bwt(word)
-    assert inverse_bwt(res.transformed, res.primary_index) == word
+    for sigma in (2, 4):
+        word = bytes(rng.randrange(sigma) for _ in range(3000))
+        res = bwt(word)
+        assert inverse_bwt(res.transformed, res.primary_index) == word
 
 
 def test_rotation_invariance_exhaustive():
@@ -89,6 +125,22 @@ def test_inverse_round_trip_random():
         assert inverse_bwt(res.transformed, res.primary_index) == word
     with pytest.raises(ValueError):
         inverse_bwt(w("ab"), 2)
+
+
+def test_inverse_walks_the_stable_last_to_first_map():
+    # Any text, transform or not, inverts along the map that numbers equal
+    # symbols in text order; the walk is the same for every alphabet size.
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        text = bytes(rng.choice((0, 1, 2, 5)) for _ in range(n))
+        index = rng.randrange(n)
+        lf = {i: rank for rank, i in enumerate(sorted(range(n), key=lambda i: (text[i], i)))}
+        row, out = index, []
+        for _ in range(n):
+            out.append(text[row])
+            row = lf[row]
+        assert inverse_bwt(text, index) == bytes(reversed(out))
 
 
 def test_power_law_and_power_transform():

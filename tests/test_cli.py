@@ -60,6 +60,17 @@ def test_dollar_alphabet(capsys):
     assert out.split()[0] == "ab$a"
 
 
+def test_named_morphism_with_declared_alphabet(capsys):
+    # A named morphism reads as its a=..,b=.. text under any letter order.
+    for declared in ("$ab", "ba", "ab"):
+        code, out, _ = run_cli(capsys, "apply", "thue-morse", "ab", "--alphabet", declared)
+        assert (code, out.strip()) == (0, "abba")
+    code, out, _ = run_cli(capsys, "apply", "period-doubling", "ba", "--alphabet", "$ab")
+    assert (code, out.strip()) == (0, "aaab")
+    code, out, err = run_cli(capsys, "apply", "thue-morse", "ab", "--alphabet", "xy")
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
 def test_classify_json(capsys):
     code, out, _ = run_cli(capsys, "classify", "a=ba,b=ababaa", "--json")
     assert code == 0
@@ -102,6 +113,15 @@ def test_decide_delay(capsys):
     assert out.startswith("synchronizing with finite delay: no")
     code, out, _ = run_cli(capsys, "decide-delay", "thue-morse", "--scope", "runs:inf:inf", "--json")
     assert json.loads(out)["synchronizing_with_finite_delay"] is False
+
+
+def test_decide_delay_rejects_bad_run_bounds(capsys):
+    for scope in ("runs:-1:2", "runs:x:2", "runs:2:1.5", "runs:2", "runs::2"):
+        code, out, err = run_cli(capsys, "decide-delay", "thue-morse", "--scope", scope)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "runs:<a>:<b>" in err
+    code, out, _ = run_cli(capsys, "decide-delay", "thue-morse", "--scope", "runs:0:inf")
+    assert code == 0 and out.startswith("synchronizing with finite delay: yes")
 
 
 def test_decide_delay_file_scope(tmp_path, capsys):

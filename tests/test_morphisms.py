@@ -173,6 +173,13 @@ def test_is_sturmian():
     assert not is_sturmian(rho(2))
 
 
+def test_is_sturmian_on_a_long_peel_chain():
+    # a -> a, b -> a^k b peels k times down to the identity, and
+    # a -> a, b -> a^k bb down to the bifix dead end (a, bb).
+    assert is_sturmian(bm("a", "a" * 3000 + "b"))
+    assert not is_sturmian(bm("a", "a" * 3000 + "bb"))
+
+
 def test_sturmian_closed_under_elementary_composition():
     rng = random.Random(8)
     generators = [PHI, PHI_E, PHI_TILDE, PHI_TILDE_E, EXCHANGE, IDENTITY]

@@ -60,6 +60,15 @@ def test_circular_factorization_contents():
         circular_factorizations(b"", REC)
 
 
+def test_circular_factorizations_of_a_long_image():
+    source = bytes(i * i % 3 % 2 for i in range(3000))
+    image = THUE_MORSE.apply(source)
+    assert circular_factorizations(image, THUE_MORSE) == [(0, tuple(source))]
+    # Rotating by one letter moves every cut back by one.
+    facts = circular_factorizations(image[1:] + image[:1], THUE_MORSE)
+    assert facts == [(1, tuple(source[1:] + source[:1]))]
+
+
 def test_factorizations_spell_the_rotation():
     words = [w("baaabbabbbaa"), w("abbaabbaabba"), w("ab") * 4]
     for m in (REC, CONJ, THUE_MORSE):
