@@ -20,7 +20,6 @@ from .morphisms import (
     OrderClass,
     PeelStep,
     abelian_order_class,
-    apply,
     bifix_status,
     compose,
     factor_through_tau,

@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import __version__, fixtures
 from .bwt import bwt, inverse_bwt, run_count
 from .morphisms import (
-    Morphism,
     ParsedMorphism,
     abelian_order_class,
     bifix_status,
@@ -53,10 +52,10 @@ from .syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from .words import BINARY, Alphabet, Word, all_circular_factors, necklaces, rle
+from .words import Alphabet, Word, all_circular_factors, necklaces, rle
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Domain error surfaced to the user with exit code 1."""
 
 
@@ -67,20 +66,6 @@ def _alphabet_for(texts: list[str], declared: str | None) -> Alphabet:
     if not letters:
         letters = ["a", "b"]
     return Alphabet("".join(letters))
-
-
-def _parse_word(alpha: Alphabet, text: str) -> Word:
-    try:
-        return alpha.word(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _parse_morphism_arg(text: str, declared: str | None) -> ParsedMorphism:
-    try:
-        return parse_morphism(text, declared)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -98,7 +83,7 @@ def _fraction_str(f: Fraction) -> str:
 
 def cmd_bwt(args) -> str:
     alpha = _alphabet_for([args.word], args.alphabet)
-    w = _parse_word(alpha, args.word)
+    w = alpha.word(args.word)
     _require(len(w) > 0, "bwt needs a non-empty word")
     res = bwt(w)
     r = len(rle(res.transformed))
@@ -116,19 +101,16 @@ def cmd_bwt(args) -> str:
 
 def cmd_inverse_bwt(args) -> str:
     alpha = _alphabet_for([args.word], args.alphabet)
-    w = _parse_word(alpha, args.word)
-    try:
-        original = inverse_bwt(w, args.index)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    w = alpha.word(args.word)
+    original = inverse_bwt(w, args.index)
     if args.json:
         return json.dumps({"bwt": args.word, "index": args.index, "word": alpha.render(original)}, sort_keys=True)
     return alpha.render(original)
 
 
 def cmd_apply(args) -> str:
-    parsed = _parse_morphism_arg(args.morphism, args.alphabet)
-    w = _parse_word(parsed.source, args.word)
+    parsed = parse_morphism(args.morphism, args.alphabet)
+    w = parsed.source.word(args.word)
     image = parsed.morphism.apply(w)
     rendered = parsed.target.render(image)
     if args.json:
@@ -137,17 +119,27 @@ def cmd_apply(args) -> str:
 
 
 def cmd_compose(args) -> str:
-    outer = _parse_morphism_arg(args.outer, args.alphabet)
-    inner = _parse_morphism_arg(args.inner, args.alphabet)
-    try:
-        result = compose(outer.morphism, inner.morphism)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    outer = parse_morphism(args.outer, args.alphabet)
+    inner = parse_morphism(args.inner, args.alphabet)
+    result = compose(outer.morphism, inner.morphism)
     text = format_morphism(result, inner.source, outer.target)
     if args.json:
         pairs = dict(part.split("=", 1) for part in text.split(","))
         return json.dumps({"images": pairs}, sort_keys=True)
     return text
+
+
+def _power_words(parsed: ParsedMorphism) -> dict:
+    """The `mu-powers` payload; `classify` reports it under `power_`-prefixed keys."""
+    m, source, target = parsed
+    cls = power_words(m)
+    return {
+        "case": cls.case.value,
+        "letters": [source.letters[c] for c in cls.letter_witnesses],
+        "rotation_witness": source.render(cls.rotation_witness) if cls.rotation_witness else None,
+        "z": target.render(cls.z) if cls.z else None,
+        "k": cls.k,
+    }
 
 
 def _classification(parsed: ParsedMorphism) -> dict:
@@ -164,12 +156,7 @@ def _classification(parsed: ParsedMorphism) -> dict:
     verdict = is_primitivity_preserving(m)
     out["primitivity_preserving"] = verdict.preserving
     out["pp_witness"] = source.render(verdict.witness) if verdict.witness else None
-    cls = power_words(m)
-    out["power_case"] = cls.case.value
-    out["power_letters"] = [source.letters[c] for c in cls.letter_witnesses]
-    out["power_rotation_witness"] = source.render(cls.rotation_witness) if cls.rotation_witness else None
-    out["power_z"] = target.render(cls.z) if cls.z else None
-    out["power_k"] = cls.k
+    out.update((f"power_{key}", value) for key, value in _power_words(parsed).items())
     form = classify_holub_form(m)
     if form is None:
         out["holub_form"] = None
@@ -187,7 +174,7 @@ def _classification(parsed: ParsedMorphism) -> dict:
 
 
 def cmd_classify(args) -> str:
-    parsed = _parse_morphism_arg(args.morphism, args.alphabet)
+    parsed = parse_morphism(args.morphism, args.alphabet)
     data = _classification(parsed)
     if args.json:
         return json.dumps(data, sort_keys=True)
@@ -222,18 +209,11 @@ def cmd_classify(args) -> str:
 
 
 def cmd_mu_powers(args) -> str:
-    parsed = _parse_morphism_arg(args.morphism, args.alphabet)
-    m, source, target = parsed
+    parsed = parse_morphism(args.morphism, args.alphabet)
+    m = parsed.morphism
     _require(m.is_binary(), "power-word classification requires a binary source alphabet")
     _require(is_injective_binary(m), "power-word classification requires an injective morphism")
-    cls = power_words(m)
-    payload = {
-        "case": cls.case.value,
-        "letters": [source.letters[c] for c in cls.letter_witnesses],
-        "rotation_witness": source.render(cls.rotation_witness) if cls.rotation_witness else None,
-        "z": target.render(cls.z) if cls.z else None,
-        "k": cls.k,
-    }
+    payload = _power_words(parsed)
     if args.json:
         return json.dumps(payload, sort_keys=True)
     lines = [f"case: {payload['case']}"]
@@ -244,9 +224,9 @@ def cmd_mu_powers(args) -> str:
 
 
 def cmd_sync(args) -> str:
-    parsed = _parse_morphism_arg(args.morphism, args.alphabet)
+    parsed = parse_morphism(args.morphism, args.alphabet)
     m, source, target = parsed
-    w = _parse_word(parsed.source, args.word)
+    w = parsed.source.word(args.word)
     _require(len(w) > 0, "sync needs a non-empty word")
     image = m.apply(w)
     facts = circular_factorizations(image, m)
@@ -279,7 +259,7 @@ def cmd_sync(args) -> str:
     return "\n".join(lines)
 
 
-def _parse_scope(text: str):
+def _parse_scope(text: str, source: Alphabet, digests: dict[str, str]):
     if text == "full":
         return FULL_BINARY
     if text.startswith("runs:"):
@@ -291,19 +271,21 @@ def _parse_scope(text: str):
     if text.startswith("file:"):
         path = text[len("file:"):]
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = [line.strip() for line in handle if line.strip()]
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise CliError(f"cannot read scope file: {exc}") from None
+        digests[path] = hashlib.sha256(data).hexdigest()
+        lines = [line.strip() for line in data.decode("utf-8").splitlines() if line.strip()]
         if not lines:
             raise CliError("scope file contains no words")
-        return FiniteList(tuple(BINARY.word(line) for line in lines))
+        return FiniteList(tuple(source.word(line) for line in lines))
     raise CliError(f"unknown scope {text!r}: use full, runs:<a>:<b>, or file:<path>")
 
 
 def cmd_decide_delay(args) -> str:
-    parsed = _parse_morphism_arg(args.morphism, args.alphabet)
-    scope = _parse_scope(args.scope)
+    parsed = parse_morphism(args.morphism, args.alphabet)
+    scope = _parse_scope(args.scope, parsed.source, args.input_digests)
     verdict = decide_sync_finite_delay(parsed.morphism, scope)
     if args.json:
         return json.dumps(
@@ -311,13 +293,6 @@ def cmd_decide_delay(args) -> str:
             sort_keys=True,
         )
     return f"synchronizing with finite delay: {'yes' if verdict.synchronizing else 'no'} ({verdict.reason})"
-
-
-def _sensitivity_rows(parsed: ParsedMorphism, n_from: int, n_to: int, include_constants: bool):
-    rows = []
-    for n in range(n_from, n_to + 1):
-        rows.append(sensitivity(parsed.morphism, n, include_constant_words=include_constants))
-    return rows
 
 
 def _csv_string(headers, rows) -> str:
@@ -328,31 +303,36 @@ def _csv_string(headers, rows) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+def _table1_rows(parsed: ParsedMorphism, n: int) -> list[tuple]:
+    """Columns w, bwt(w), r(w), image, bwt(image), r(image) per non-constant necklace of length n."""
+    m, source, target = parsed
+    rows = []
+    for w in necklaces(m.source_size, n):
+        if len(set(w)) == 1:
+            continue
+        image = m.apply(w)
+        rows.append(
+            (
+                source.render(w),
+                source.render(bwt(w).transformed),
+                run_count(w),
+                target.render(image),
+                target.render(bwt(image).transformed),
+                run_count(image),
+            )
+        )
+    return rows
+
+
 def cmd_sensitivity(args) -> str:
-    parsed = _parse_morphism_arg(args.morphism, args.alphabet)
+    parsed = parse_morphism(args.morphism, args.alphabet)
     _require(args.n_from >= 2, "sensitivity starts at n=2")
     _require(args.n_to >= args.n_from, "--n-to must be at least --n-from")
-    rows = _sensitivity_rows(parsed, args.n_from, args.n_to, args.include_constants)
+    ns = range(args.n_from, args.n_to + 1)
+    rows = [sensitivity(parsed.morphism, n, include_constant_words=args.include_constants) for n in ns]
     source = parsed.source
     if args.table1:
-        lines = []
-        for n in range(args.n_from, args.n_to + 1):
-            for w in necklaces(parsed.morphism.source_size, n):
-                if len(set(w)) == 1:
-                    continue
-                image = parsed.morphism.apply(w)
-                lines.append(
-                    " ".join(
-                        (
-                            source.render(w),
-                            source.render(bwt(w).transformed),
-                            str(run_count(w)),
-                            parsed.target.render(image),
-                            parsed.target.render(bwt(image).transformed),
-                            str(run_count(image)),
-                        )
-                    )
-                )
+        lines = [" ".join(map(str, row)) for n in ns for row in _table1_rows(parsed, n)]
         for row in rows:
             lines.append(
                 f"n={row.n} AS={row.as_value} MS={_fraction_str(row.ms_value)} "
@@ -387,11 +367,13 @@ def cmd_sensitivity(args) -> str:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        low, high = text.split("..", 1)
-        return range(int(low), int(high) + 1)
-    value = int(text)
-    return range(value, value + 1)
+    low, dots, high = text.partition("..")
+    try:
+        ks = range(int(low), int(high if dots else low) + 1)
+    except ValueError:
+        raise CliError(f"bad --k {text!r}: use <k> or <low>..<high> with integers") from None
+    _require(len(ks) > 0, f"empty --k range {text!r}: the low end exceeds the high end")
+    return ks
 
 
 def _experiment_csv(table: ExperimentTable) -> str:
@@ -408,37 +390,21 @@ def cmd_experiment(args) -> str:
         _require(args.p is not None and args.p > 1, "rho experiment needs --p greater than 1")
         table = rho_experiment(args.p, ks)
     else:
-        table = fibonacci_dollar_experiment([k for k in ks if k % 2 == 0])
+        table = fibonacci_dollar_experiment(ks)
     return _experiment_csv(table)
 
 
 def _reproduce_table1() -> str:
-    pi = parse_morphism("period-doubling").morphism
-    computed = []
-    for w in necklaces(2, 5):
-        if len(set(w)) == 1:
-            continue
-        image = pi.apply(w)
-        computed.append(
-            (
-                BINARY.render(w),
-                BINARY.render(bwt(w).transformed),
-                run_count(w),
-                BINARY.render(image),
-                BINARY.render(bwt(image).transformed),
-                run_count(image),
-            )
-        )
+    parsed = parse_morphism("period-doubling")
+    computed = _table1_rows(parsed, 5)
     if tuple(computed) != fixtures.TABLE1:
         raise CliError("recomputed table differs from the committed fixture")
-    row5 = sensitivity(pi, 5)
+    row5 = sensitivity(parsed.morphism, 5)
     summary = f"AS_pi(5)={row5.as_value} MS_pi(5)={_fraction_str(row5.ms_value).removesuffix('/1')}"
     if summary != fixtures.TABLE1_SUMMARY:
         raise CliError("recomputed sensitivity summary differs from the committed fixture")
-    lines = [" ".join(str(c) for c in row) for row in computed]
-    lines.append(summary)
-    lines.append("fixture match: ok")
-    return "\n".join(lines)
+    lines = [" ".join(map(str, row)) for row in computed]
+    return "\n".join(lines + [summary, "fixture match: ok"])
 
 
 def _reproduce_figures() -> str:
@@ -482,24 +448,16 @@ def _reproduce_fib_dollar() -> str:
     return _experiment_csv(table) + "\nratio check: ok"
 
 
+_REPRODUCE = {
+    "table1": _reproduce_table1,
+    "rho-sqrt": _reproduce_rho_sqrt,
+    "fib-dollar": _reproduce_fib_dollar,
+    "figures-2-3": _reproduce_figures,
+}
+
+
 def cmd_reproduce(args) -> str:
-    targets = {
-        "table1": _reproduce_table1,
-        "figures-2-3": _reproduce_figures,
-        "rho-sqrt": _reproduce_rho_sqrt,
-        "fib-dollar": _reproduce_fib_dollar,
-    }
-    if args.target not in targets:
-        raise CliError(f"unknown reproduce target {args.target!r}")
-    return targets[args.target]()
-
-
-def _add_alphabet(parser) -> None:
-    parser.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
-
-
-def _add_manifest(parser) -> None:
-    parser.add_argument("--manifest", help="write a reproducibility manifest to this path")
+    return _REPRODUCE[args.target]()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,104 +465,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bwtmorph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bwt", help="transform a word and count runs")
-    p.add_argument("word")
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_bwt)
+    def command(name: str, func, summary: str, *positionals: str, words: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with --manifest, and --json and --alphabet when it reads words."""
+        p = sub.add_parser(name, help=summary)
+        for dest in positionals:
+            p.add_argument(dest)
+        if words:
+            p.add_argument("--json", action="store_true")
+            p.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
+        p.add_argument("--manifest", help="write a reproducibility manifest to this path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("inverse-bwt", help="invert a transform")
-    p.add_argument("word")
+    command("bwt", cmd_bwt, "transform a word and count runs", "word")
+    p = command("inverse-bwt", cmd_inverse_bwt, "invert a transform", "word")
     p.add_argument("index", type=int)
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_inverse_bwt)
+    command("apply", cmd_apply, "apply a morphism to a word", "morphism", "word")
+    command("compose", cmd_compose, "compose two morphisms (outer after inner)", "outer", "inner")
+    command("classify", cmd_classify, "full classification report for a binary morphism", "morphism")
+    command("mu-powers", cmd_mu_powers, "classify the primitive words mapped to powers", "morphism")
 
-    p = sub.add_parser("apply", help="apply a morphism to a word")
-    p.add_argument("morphism")
-    p.add_argument("word")
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("compose", help="compose two morphisms (outer after inner)")
-    p.add_argument("outer")
-    p.add_argument("inner")
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("classify", help="full classification report for a binary morphism")
-    p.add_argument("morphism")
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("mu-powers", help="classify the primitive words mapped to powers")
-    p.add_argument("morphism")
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_mu_powers)
-
-    p = sub.add_parser("sync", help="factorizations, sync pairs, and delay for one word")
-    p.add_argument("morphism")
+    p = command("sync", cmd_sync, "factorizations, sync pairs, and delay for one word", "morphism")
     p.add_argument("--word", required=True)
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_sync)
 
-    p = sub.add_parser("decide-delay", help="decide synchronization with finite delay on a scope")
-    p.add_argument("morphism")
+    p = command("decide-delay", cmd_decide_delay, "decide synchronization with finite delay on a scope", "morphism")
     p.add_argument("--scope", required=True, help="full, runs:<a>:<b> (counts or inf), or file:<path>")
-    p.add_argument("--json", action="store_true")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_decide_delay)
 
-    p = sub.add_parser("sensitivity", help="exact additive and multiplicative sensitivity")
-    p.add_argument("morphism")
+    p = command("sensitivity", cmd_sensitivity, "exact additive and multiplicative sensitivity", "morphism")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--table1", action="store_true", help="list per-word rows like the length-5 table")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true", help="CSV is the default output; flag kept for symmetry")
     p.add_argument("--include-constants", action="store_true", help="maximize over constant words too")
-    _add_alphabet(p)
-    _add_manifest(p)
-    p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("experiment", help="growth experiments as CSV")
+    p = command("experiment", cmd_experiment, "growth experiments as CSV", words=False)
     p.add_argument("kind", choices=("rho", "fib-dollar"))
     p.add_argument("--p", type=int)
     p.add_argument("--k", required=True, help="range like 6..12")
-    p.add_argument("--csv", action="store_true", help="CSV is the only output format; flag kept for symmetry")
-    _add_manifest(p)
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("reproduce", help="regenerate a committed reference output and check it")
-    p.add_argument("target", choices=("table1", "rho-sqrt", "fib-dollar", "figures-2-3"))
-    _add_manifest(p)
-    p.set_defaults(func=cmd_reproduce)
+    p = command("reproduce", cmd_reproduce, "regenerate a committed reference output and check it", words=False)
+    p.add_argument("target", choices=_REPRODUCE)
 
     return parser
 
 
-def _write_manifest(path: str, argv: list[str], alphabet: str | None, output: str) -> None:
-    digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
-    inputs = {arg: hashlib.sha256(arg.encode("utf-8")).hexdigest() for arg in argv}
+def _write_manifest(path: str, argv: list[str], alphabet: str | None, inputs: dict[str, str], output: str) -> None:
     manifest = {
         "argv": argv,
         "version": __version__,
         "alphabet": alphabet,
         "input_digests": inputs,
-        "output_digest": digest,
+        "output_digest": hashlib.sha256(output.encode("utf-8")).hexdigest(),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -615,18 +525,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.input_digests = {}  # path -> sha256 of each input file the command reads
     try:
         output = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(output)
     manifest_path = getattr(args, "manifest", None)
     if manifest_path:
-        _write_manifest(manifest_path, argv, getattr(args, "alphabet", None), output)
+        _write_manifest(manifest_path, argv, getattr(args, "alphabet", None), args.input_digests, output)
     return 0
 
 

@@ -52,10 +52,6 @@ class Morphism:
             raise ValueError(f"word contains a symbol outside the source alphabet of size {self.source_size}") from None
 
 
-def apply(m: Morphism, w: Word) -> Word:
-    return m.apply(w)
-
-
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner: images are outer applied to inner's images."""
     if inner.target_size > outer.source_size:

@@ -158,6 +158,8 @@ def fibonacci_dollar_experiment(ks: Iterable[int]) -> ExperimentTable:
     """
     rows = []
     for k in ks:
+        if k < 0:
+            raise ValueError(f"the terminated Fibonacci words need k >= 0, got {k}")
         lower = _fibonacci_word(2 * k) + b"\x00"
         upper = _fibonacci_word(2 * k + 1) + b"\x00"
         if DOLLAR_FIBONACCI.apply(lower) != upper:

@@ -130,6 +130,13 @@ def test_decide_delay_file_scope(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "decide-delay", "period-doubling", "--scope", f"file:{path}", "--json")
     assert code == 0
     assert json.loads(out)["synchronizing_with_finite_delay"] is True
+    # Scope words are words over the morphism's source alphabet.
+    path.write_text("aac\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "decide-delay", "a=ab,c=ba", "--scope", f"file:{path}")
+    assert (code, out.strip()) == (0, "synchronizing with finite delay: yes (conjugate images but circular a-runs are bounded in the scope)")
+    path.write_text("aab\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "decide-delay", "a=ab,c=ba", "--scope", f"file:{path}")
+    assert (code, out) == (1, "") and err.startswith("error:") and "'b'" in err
 
 
 def test_sensitivity_csv_and_json(capsys):
@@ -149,6 +156,8 @@ def test_sensitivity_table_mode(capsys):
     assert lines[0] == "aaaab baaaa 2 ababababaa babbbaaaaa 4"
     assert len(lines) == 7
     assert lines[-1].startswith("n=5 AS=2 MS=2/1")
+    code, reproduced, _ = run_cli(capsys, "reproduce", "table1")
+    assert code == 0 and lines[:6] == reproduced.split("\n")[:6]
 
 
 def test_experiments(capsys):
@@ -159,7 +168,22 @@ def test_experiments(capsys):
     code, out, _ = run_cli(capsys, "experiment", "fib-dollar", "--k", "2..5")
     lines = out.strip().split("\n")
     assert lines[0] == "k,r_even,r_odd,ratio"
-    assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
+    assert [line.split(",")[0] for line in lines[1:]] == ["2", "3", "4", "5"]
+
+
+def test_experiment_rejects_bad_k(capsys):
+    for argv in (
+        ("rho", "--p", "2", "--k", "8..6"),
+        ("fib-dollar", "--k", "5..4"),
+        ("rho", "--p", "2", "--k", "3..x"),
+        ("rho", "--p", "2", "--k", "3.."),
+        ("fib-dollar", "--k", "x"),
+    ):
+        code, out, err = run_cli(capsys, "experiment", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "--k" in err, argv
+    code, out, err = run_cli(capsys, "experiment", "fib-dollar", "--k", "-1")
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 def test_reproduce_targets(capsys):
@@ -190,6 +214,25 @@ def test_manifest_round_trip(tmp_path, capsys):
 
     assert recorded["output_digest"] == hashlib.sha256(first.rstrip("\n").encode()).hexdigest()
     assert recorded["argv"] == argv
+    assert recorded["input_digests"] == {}
+
+
+def test_manifest_digests_scope_file_contents(tmp_path, capsys):
+    import hashlib
+
+    scope = tmp_path / "words.txt"
+    manifest = tmp_path / "run.json"
+    argv = ["decide-delay", "period-doubling", "--scope", f"file:{scope}", "--manifest", str(manifest)]
+    digests = []
+    for text in ("aab\n", "aab\nabb\n"):
+        scope.write_text(text, encoding="utf-8")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        recorded = json.loads(manifest.read_text(encoding="utf-8"))
+        assert recorded["argv"] == argv
+        assert recorded["input_digests"] == {str(scope): hashlib.sha256(text.encode()).hexdigest()}
+        digests.append(recorded["input_digests"][str(scope)])
+    assert digests[0] != digests[1]
 
 
 def test_error_exit_codes(capsys):
@@ -199,6 +242,13 @@ def test_error_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "apply", "period-doubling", "xyz")
     assert code == 1
+    for argv in (
+        ("inverse-bwt", "ab", "5"),
+        ("compose", "a=ab,b=ba", "a=abc,b=a"),
+        ("apply", "a=ab,b=ba", "abc"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error:"), argv
     with pytest.raises(SystemExit) as exc:
         main(["bwt"])
     assert exc.value.code == 2
