@@ -52,7 +52,7 @@ from .syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from .words import Alphabet, Word, all_circular_factors, necklaces, rle
+from .words import Alphabet, Word, all_circular_factors, constant_words, necklaces, rle
 
 
 class CliError(ValueError):
@@ -231,11 +231,13 @@ def cmd_sync(args) -> str:
     image = m.apply(w)
     facts = circular_factorizations(image, m)
     delay = sync_delay_for_word(m, w)
-    per_length = []
-    for length in range(len(image) + 1):
-        factors = sorted({f for f in all_circular_factors(image) if len(f) == length})
-        with_pair = sum(1 for f in factors if find_sync_pairs(f, m, FULL_BINARY))
-        per_length.append((length, with_pair, len(factors)))
+    by_length: list[list[Word]] = [[] for _ in range(len(image) + 1)]
+    for f in all_circular_factors(image):
+        by_length[len(f)].append(f)
+    per_length = [
+        (length, sum(1 for f in factors if find_sync_pairs(f, m, FULL_BINARY)), len(factors))
+        for length, factors in enumerate(by_length)
+    ]
     if args.json:
         payload = {
             "image": target.render(image),
@@ -307,8 +309,9 @@ def _table1_rows(parsed: ParsedMorphism, n: int) -> list[tuple]:
     """Columns w, bwt(w), r(w), image, bwt(image), r(image) per non-constant necklace of length n."""
     m, source, target = parsed
     rows = []
+    constant = constant_words(m.source_size, n)
     for w in necklaces(m.source_size, n):
-        if len(set(w)) == 1:
+        if w in constant:
             continue
         image = m.apply(w)
         rows.append(

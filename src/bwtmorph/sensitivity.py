@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 from .bwt import run_count
 from .morphisms import Morphism, is_cyclic, rho
 from .primitivity import is_primitivity_preserving
-from .words import EmptyWordError, Word, necklaces, rle
+from .words import EmptyWordError, Word, constant_words, necklaces, rle
 
 
 class SensitivityRow(NamedTuple):
@@ -62,8 +62,9 @@ def sensitivity(m: Morphism, n: int, include_constant_words: bool = False) -> Se
     best_add: int | None = None
     best_mul: Fraction | None = None
     add_witness = mul_witness = b""
+    skipped = frozenset() if include_constant_words else constant_words(sigma, n)
     for w in necklaces(sigma, n):
-        if not include_constant_words and len(set(w)) == 1:
+        if w in skipped:
             continue
         before = run_count(w)
         after = run_count(m.apply(w))

@@ -10,12 +10,11 @@ single-letter runs respect given bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .morphisms import Morphism, _require_injective
 from .primitivity import is_primitivity_preserving, is_recognizable, power_words
-from .words import EMPTY, Word, all_circular_factors, circular_factors, rle
+from .words import Word, all_circular_factors, circular_factors, rle
 
 
 @dataclass(frozen=True)
@@ -119,68 +118,99 @@ def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]
     return found
 
 
-def _binary_words_up_to(limit: int) -> Iterator[Word]:
-    yield EMPTY
-    for length in range(1, limit + 1):
-        for tup in product((0, 1), repeat=length):
-            yield bytes(tup)
-
-
 def _run_bounds_ok(w: Word, max_a: int | None, max_b: int | None) -> bool:
     bounds = (max_a, max_b)
     return all(bounds[s] is None or count <= bounds[s] for s, count in rle(w))
 
 
-def _context_bound(factor_len: int, m: Morphism) -> int:
-    # One full codeword of context on each side of the factor is enough to
-    # reproduce every boundary constraint a longer source word could impose.
-    shortest = min(len(img) for img in m.images)
-    return (factor_len + 2 * m.size) // shortest + 2
+def _interpretation_splits(u: Word, images: tuple[Word, ...], bounds: tuple[int | None, int | None]) -> int:
+    """Bitmask of the splits of u at which every interpretation of u cuts.
+
+    An interpretation places u in the image of a source word: a proper suffix
+    of a codeword, whole codewords, then a proper prefix of a codeword (each
+    part may be absent), or u strictly inside one codeword, which cuts
+    nowhere. Only source words whose linear letter runs stay within bounds
+    (None = unbounded) count; with no interpretation, every split survives.
+
+    The walk goes left to right and keeps, per reachable (cut position, last
+    letter, run length), the cuts that every path there shares. A letter
+    without a bound resets the run state, so the unbounded walk has one state
+    per position.
+    """
+    n = len(u)
+
+    def step(letter: int, last: int | None, run: int) -> tuple[int | None, int] | None:
+        cap = bounds[letter]
+        if cap is None:
+            return (None, 0)
+        run = run + 1 if letter == last else 1
+        return (letter, run) if run <= cap else None
+
+    must: list[dict[tuple[int | None, int], int]] = [{} for _ in range(n + 1)]
+
+    def reach(p: int, state: tuple[int | None, int], cuts: int) -> None:
+        old = must[p].get(state)
+        must[p][state] = cuts if old is None else old & cuts
+
+    reach(0, (None, 0), 1)
+    for letter, img in enumerate(images):
+        state = step(letter, None, 0)
+        if state is None:
+            continue
+        if img.find(u, 1, len(img) - 1) != -1:  # u strictly inside img
+            return 0
+        # u starts in img, after a cut at p.
+        for p in range(1, min(len(img) - 1, n) + 1):
+            if img.endswith(u[:p]):
+                reach(p, state, 1 << p)
+    survivors = (1 << (n + 1)) - 1
+    for p in range(n + 1):
+        for (last, run), cuts in must[p].items():
+            if p == n:
+                survivors &= cuts
+            for letter, img in enumerate(images):
+                state = step(letter, last, run)
+                if state is None:
+                    continue
+                if u.startswith(img, p):
+                    q = p + len(img)
+                    reach(q, state, cuts | 1 << q)
+                elif p < n and len(img) > n - p and img.startswith(u[p:]):  # u ends inside img
+                    survivors &= cuts
+        if not survivors:
+            return 0
+    return survivors
 
 
-def _scope_words(scope: Scope, factor_len: int, m: Morphism) -> Iterable[Word]:
-    if isinstance(scope, FiniteList):
-        out: set[Word] = set()
-        for w in scope.words:
-            out |= all_circular_factors(w)
-        return sorted(out, key=lambda f: (len(f), f))
-    limit = _context_bound(factor_len, m)
-    if isinstance(scope, FullBinary):
-        return _binary_words_up_to(limit)
-    return (f for f in _binary_words_up_to(limit) if _run_bounds_ok(f, scope.max_a, scope.max_b))
-
-
-def _boundary_set(f: Word, m: Morphism) -> frozenset[int]:
-    cuts = [0]
-    for s in f:
-        cuts.append(cuts[-1] + len(m.images[s]))
-    return frozenset(cuts)
-
-
-def _surviving_splits(
-    factor: Word, contexts: Iterable[tuple[Word, frozenset[int]]]
-) -> set[int]:
-    allowed = set(range(len(factor) + 1))
-    for image, boundaries in contexts:
-        start = image.find(factor)
-        while start != -1:
-            allowed = {s for s in allowed if start + s in boundaries}
-            if not allowed:
-                return allowed
-            start = image.find(factor, start + 1)
-    return allowed
+def _finite_scope_splits(u: Word, m: Morphism, words: tuple[Word, ...]) -> int:
+    """Bitmask of the splits of u that every occurrence of u cuts at, in the
+    images of the circular factors of the listed words."""
+    survivors = (1 << (len(u) + 1)) - 1
+    for f in set().union(*map(all_circular_factors, words)):
+        image = m.apply(f)
+        cuts = pos = 1
+        for s in f:
+            pos <<= len(m.images[s])
+            cuts |= pos
+        start = image.find(u)
+        while start != -1 and survivors:
+            survivors &= cuts >> start
+            start = image.find(u, start + 1)
+    return survivors
 
 
 def find_sync_pairs(factor: Word, m: Morphism, scope: Scope) -> list[SyncPair]:
     """All synchronizing splits of factor over the scoped source words.
 
-    For infinite scopes the quantified source words are truncated at the
-    context bound; contexts further from the factor cannot change whether
-    a boundary lands inside it.
+    Infinite scopes are decided over the interpretations of factor, in time
+    polynomial in |factor|; a finite scope is scanned word by word.
     """
     _require_injective(m)
-    contexts = ((m.apply(f), _boundary_set(f, m)) for f in _scope_words(scope, len(factor), m))
-    return [SyncPair(factor, s) for s in sorted(_surviving_splits(factor, contexts))]
+    if isinstance(scope, FiniteList):
+        survivors = _finite_scope_splits(factor, m, scope.words)
+    else:
+        survivors = _interpretation_splits(factor, m.images, _scope_run_bounds(scope))
+    return [SyncPair(factor, s) for s in range(len(factor) + 1) if survivors >> s & 1]
 
 
 def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
@@ -193,13 +223,9 @@ def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
     if not w:
         raise ValueError("delay is undefined for the empty word")
     image = m.apply(w)
-    universe = [
-        (m.apply(f), _boundary_set(f, m))
-        for f in _binary_words_up_to(_context_bound(len(image), m))
-    ]
     for length in range(len(image), -1, -1):
         bad = any(
-            not _surviving_splits(factor, universe)
+            not _interpretation_splits(factor, m.images, (None, None))
             for factor in circular_factors(image, length)
         )
         if bad:

@@ -168,6 +168,11 @@ def parikh(w: Word, size: int) -> tuple[int, ...]:
     return tuple(w.count(s) for s in range(size))
 
 
+def constant_words(size: int, n: int) -> frozenset[Word]:
+    """The words s**n of length n, one per symbol s; the filter for non-constant words."""
+    return frozenset(bytes([s]) * n for s in range(size))
+
+
 def necklaces(size: int, n: int) -> Iterator[Word]:
     """Canonical necklace representatives of length n, in ascending order.
 

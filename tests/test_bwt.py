@@ -94,6 +94,19 @@ def test_doubling_order_is_the_slice_order_with_shift_ties(root, power):
     assert _rotation_order_doubling(word) == slice_order(word)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.binary(min_size=1, max_size=64),
+        st.integers(_SMALL_SORT_LIMIT + 1, _SMALL_SORT_LIMIT + 200).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    ).map(lambda raw: bytes(x % 3 for x in raw))
+)
+def test_inverse_undoes_bwt(word):
+    # Short words take the slice path, long ones the doubling path.
+    res = bwt(word)
+    assert inverse_bwt(res.transformed, res.primary_index) == word
+
+
 def test_large_word_uses_doubling_and_round_trips():
     rng = random.Random(4)
     for sigma in (2, 4):

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtmorph.morphisms import (
     ELEMENTARY,
@@ -81,6 +83,26 @@ def test_apply_distributes_and_compose_matches():
         inner = rng.choice(morphisms)
         assert m.apply(u + v) == m.apply(u) + m.apply(v)
         assert compose(m, inner).apply(u) == m.apply(inner.apply(u))
+
+
+def same_alphabet_morphisms(count):
+    # count morphisms on the same k letters, so any two compose.
+    def over(k):
+        image = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(bytes)
+        morphism = st.lists(image, min_size=k, max_size=k).map(lambda images: Morphism(tuple(images), k))
+        return st.tuples(*[morphism] * count)
+
+    return st.integers(1, 3).flatmap(over)
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_alphabet_morphisms(3), st.lists(st.integers(0, 2), max_size=6).map(bytes))
+def test_compose_is_associative(triple, word):
+    f, g, h = triple
+    left = compose(f, compose(g, h))
+    assert left == compose(compose(f, g), h)
+    word = bytes(s % f.source_size for s in word)
+    assert left.apply(word) == f.apply(g.apply(h.apply(word)))
 
 
 def test_injectivity():

@@ -1,20 +1,23 @@
-from itertools import product
+import json
+from itertools import groupby, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bwtmorph.cli import main
 from bwtmorph.morphisms import PERIOD_DOUBLING, THUE_MORSE, Morphism
 from bwtmorph.primitivity import is_recognizable
 from bwtmorph.syncing import (
     FULL_BINARY,
     BoundedLetterRuns,
     FiniteList,
-    _boundary_set,
     circular_factorizations,
     decide_sync_finite_delay,
     find_sync_pairs,
     sync_delay_for_word,
 )
-from bwtmorph.words import BINARY, all_circular_factors, canonical_rotation, necklaces
+from bwtmorph.words import BINARY, all_circular_factors, canonical_rotation, circular_factors, necklaces
 
 w = BINARY.word
 
@@ -27,19 +30,67 @@ REC = bm("baa", "abb")
 CONJ = bm("baa", "aba")
 
 
-def brute_splits(factor, m, max_source_len):
-    """Surviving splits by raw enumeration of all source words up to a length."""
-    allowed = set(range(len(factor) + 1))
-    for n in range(0, max_source_len + 1):
+# The oracle enumerates source words, exponentially many in their length. It
+# scans the image of every source word and intersects, over every occurrence
+# of the factor, the splits that land on a codeword boundary. Source words of
+# length |factor| + 2 realize every interpretation: at most |factor| whole
+# codewords plus one cut codeword on each side.
+
+
+def binary_words(max_len):
+    for n in range(max_len + 1):
         for tup in product((0, 1), repeat=n):
-            f = bytes(tup)
-            image = m.apply(f)
-            boundaries = _boundary_set(f, m)
-            start = image.find(factor)
-            while start != -1:
-                allowed = {s for s in allowed if start + s in boundaries}
-                start = image.find(factor, start + 1)
+            yield bytes(tup)
+
+
+def longest_run(f, letter):
+    return max((len(list(g)) for s, g in groupby(f) if s == letter), default=0)
+
+
+def source_contexts(m, sources):
+    """(image, boundary positions, (longest a-run, longest b-run)) per source word."""
+    contexts = []
+    for f in sources:
+        pos, boundaries = 0, {0}
+        for s in f:
+            pos += len(m.images[s])
+            boundaries.add(pos)
+        contexts.append((m.apply(f), boundaries, (longest_run(f, 0), longest_run(f, 1))))
+    return contexts
+
+
+def brute_split_classes(factor, contexts):
+    """Per run profile of the source words: the splits that every occurrence
+    of factor in their images puts on a codeword boundary."""
+    every = set(range(len(factor) + 1))
+    classes = {}
+    for image, boundaries, runs in contexts:
+        allowed = classes.get(runs, every)
+        start = image.find(factor)
+        while start != -1:
+            allowed = {s for s in allowed if start + s in boundaries}
+            start = image.find(factor, start + 1)
+        classes[runs] = allowed
+    return classes
+
+
+def within_bounds(classes, factor, max_a=None, max_b=None):
+    allowed = set(range(len(factor) + 1))
+    for (run_a, run_b), splits in classes.items():
+        if (max_a is None or run_a <= max_a) and (max_b is None or run_b <= max_b):
+            allowed &= splits
     return allowed
+
+
+def brute_splits(factor, m, max_source_len, max_a=None, max_b=None):
+    """Surviving splits by raw enumeration of the source words up to a length
+    whose linear letter runs stay within the bounds."""
+    contexts = source_contexts(m, binary_words(max_source_len))
+    return within_bounds(brute_split_classes(factor, contexts), factor, max_a, max_b)
+
+
+def splits(factor, m, scope):
+    return {pair.split for pair in find_sync_pairs(factor, m, scope)}
 
 
 def test_circular_factorization_counts():
@@ -87,14 +138,59 @@ def test_sync_pairs_at_double_letters():
 
 
 def test_sync_pairs_match_brute_enumeration():
-    # Validates the bounded-context reduction against raw enumeration that
-    # goes well past the bound.
+    # Source words of length 9 and 7 go well past the |factor| + 2 that
+    # realizes every interpretation.
     for factor in [w("bb"), w("aa"), w("abab"), w("abba"), w("aab"), w("babab")]:
         fast = {pair.split for pair in find_sync_pairs(factor, THUE_MORSE, FULL_BINARY)}
         assert fast == brute_splits(factor, THUE_MORSE, 9), factor
     for factor in [w("aab"), w("baa"), w("aabaa"), w("bba")]:
         fast = {pair.split for pair in find_sync_pairs(factor, REC, FULL_BINARY)}
         assert fast == brute_splits(factor, REC, 7), factor
+
+
+def test_interpretations_match_the_enumerator_exhaustively():
+    # Every injective morphism with images of length <= 3, every factor of
+    # length <= 4, on the full scope and on every pair of run bounds.
+    bounds = (0, 1, 2, None)
+    scopes = [(FULL_BINARY, None, None)] + [(BoundedLetterRuns(a, b), a, b) for a in bounds for b in bounds]
+    for u, v in product([f for f in binary_words(3) if f], repeat=2):
+        if u + v == v + u:
+            continue
+        m = Morphism((u, v))
+        contexts = source_contexts(m, binary_words(6))
+        for factor in binary_words(4):
+            # The source words of length <= |factor| + 2 come first.
+            classes = brute_split_classes(factor, contexts[: 2 ** (len(factor) + 3) - 1])
+            for scope, max_a, max_b in scopes:
+                expected = within_bounds(classes, factor, max_a, max_b)
+                assert splits(factor, m, scope) == expected, (u, v, factor, scope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=4).map(bytes), min_size=2, max_size=2),
+    st.lists(st.integers(0, 1), max_size=5).map(bytes),
+    st.sampled_from((0, 1, 2, 3, None)),
+    st.sampled_from((0, 1, 2, 3, None)),
+)
+def test_interpretation_splits_equal_the_oracle(images, factor, max_a, max_b):
+    u, v = images
+    assume(u + v != v + u)
+    m = Morphism((u, v))
+    oracle = brute_splits(factor, m, len(factor) + 2, max_a, max_b)
+    assert splits(factor, m, BoundedLetterRuns(max_a, max_b)) == oracle
+    if max_a is None and max_b is None:
+        assert splits(factor, m, FULL_BINARY) == oracle
+
+
+def test_finite_scope_scans_the_circular_factors():
+    words = (w("aab"), w("abbab"))
+    sources = set().union(*map(all_circular_factors, words))
+    for m in (THUE_MORSE, REC, bm("a", "ab")):
+        contexts = source_contexts(m, sources)
+        for factor in binary_words(4):
+            expected = within_bounds(brute_split_classes(factor, contexts), factor)
+            assert splits(factor, m, FiniteList(words)) == expected, (m.images, factor)
 
 
 def test_sync_pairs_finite_scope():
@@ -109,6 +205,45 @@ def test_sync_delay_for_word():
     for n in (2, 3):
         assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")) == 2 * n + 1
     assert sync_delay_for_word(THUE_MORSE, w("abbaab")) == 5
+
+
+def test_sync_delay_for_long_a_runs():
+    # Enumerating source words past each factor would need 2^(2n+4) of them.
+    for n in range(1, 21):
+        assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")) == 2 * n + 1, n
+
+
+def run_sync(capsys, *argv):
+    assert main(["sync", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_sync_cli_on_a_ten_letter_word(capsys):
+    # A 20-letter image: far beyond what enumerating source words can reach.
+    out = run_sync(capsys, "thue-morse", "--word", "aabbabaabb")
+    assert out.splitlines()[-1] == "delay: 5"
+    # A pair of a factor extends to every factor containing it, so these
+    # two lengths pin the delay.
+    image = THUE_MORSE.apply(w("aabbabaabb"))
+    assert all(brute_splits(f, THUE_MORSE, 7) for f in circular_factors(image, 5))
+    assert not all(brute_splits(f, THUE_MORSE, 6) for f in circular_factors(image, 4))
+
+
+def test_sync_cli_counts_with_a_one_letter_image(capsys):
+    # A one-letter image lets a factor of length k span k codewords.
+    m = bm("a", "ab")
+    image = m.apply(w("abab"))
+    expected = [
+        {
+            "length": n,
+            "with_pair": sum(1 for f in circular_factors(image, n) if brute_splits(f, m, n + 2)),
+            "total": len(circular_factors(image, n)),
+        }
+        for n in range(len(image) + 1)
+    ]
+    payload = json.loads(run_sync(capsys, "a=a,b=ab", "--word", "abab", "--json"))
+    assert payload["factors_with_sync_pair"] == expected
+    assert payload["delay"] == 1
 
 
 def test_sync_delay_monotone_at_the_threshold():

@@ -11,6 +11,7 @@ from bwtmorph.words import (
     canonical_rotation,
     circular_factors,
     commute,
+    constant_words,
     is_primitive,
     lcp_lcs,
     necklaces,
@@ -155,6 +156,14 @@ def test_necklaces_partition_binary_words():
             assert not cls & covered
             covered |= cls
         assert len(covered) == 2 ** n
+
+
+def test_constant_words():
+    assert constant_words(3, 2) == {w("aa"), w("bb"), Alphabet("abc").word("cc")}
+    for size in (1, 2, 3):
+        for n in range(1, 8):
+            expected = {rep for rep in necklaces(size, n) if len(set(rep)) == 1}
+            assert constant_words(size, n) == expected, (size, n)
 
 
 def test_run_serialization():
