@@ -35,7 +35,6 @@ from .morphisms import (
 )
 from .primitivity import (
     HolubForm,
-    HolubTestSet,
     PowerCase,
     PowerWordClassification,
     PpVerdict,
@@ -43,8 +42,6 @@ from .primitivity import (
     are_conjugates,
     check_pp_decomposition,
     classify_holub_form,
-    decodes_over,
-    holub_test_set,
     is_primitivity_preserving,
     is_recognizable,
     power_words,
@@ -67,7 +64,6 @@ from .syncing import (
     BoundedLetterRuns,
     CircularFactorization,
     FiniteList,
-    FullBinary,
     SyncPair,
     SyncVerdict,
     circular_factorizations,
@@ -86,14 +82,9 @@ from .words import (
     circular_factors,
     commute,
     is_primitive,
-    lcp_lcs,
     necklaces,
-    format_runs,
-    parikh,
-    parse_runs,
     primitive_root,
     rle,
-    rle_expand,
     rotations,
 )
 

@@ -234,8 +234,10 @@ def cmd_sync(args) -> str:
     by_length: list[list[Word]] = [[] for _ in range(len(image) + 1)]
     for f in all_circular_factors(image):
         by_length[len(f)].append(f)
+    # A factor at least as long as the delay has a pair by the delay's definition.
+    walked = len(by_length) if delay is None else delay
     per_length = [
-        (length, sum(1 for f in factors if find_sync_pairs(f, m, FULL_BINARY)), len(factors))
+        (length, sum(1 for f in factors if length >= walked or find_sync_pairs(f, m, FULL_BINARY)), len(factors))
         for length, factors in enumerate(by_length)
     ]
     if args.json:

@@ -51,6 +51,35 @@ class Morphism:
         except IndexError:
             raise ValueError(f"word contains a symbol outside the source alphabet of size {self.source_size}") from None
 
+    def decode(self, w: Word) -> tuple[int, ...] | None:
+        """A factorization of w into images, as source symbols; None when w has none.
+
+        Depth-first with dead-position memoization; the first complete parse
+        is returned, and it is the only one when the images form a code (an
+        injective morphism). The parse so far is the path: backtracking pops
+        its last image and tries the next one at the same position.
+        """
+        images = self.images
+        dead: set[int] = set()
+        seq: list[int] = []
+        pos = nxt = 0
+        while pos < len(w):
+            idx = len(images) if pos in dead else nxt
+            while idx < len(images) and not w.startswith(images[idx], pos):
+                idx += 1
+            if idx < len(images):
+                seq.append(idx)
+                pos += len(images[idx])
+                nxt = 0
+                continue
+            dead.add(pos)
+            if not seq:
+                return None
+            last = seq.pop()
+            pos -= len(images[last])
+            nxt = last + 1
+        return tuple(seq)
+
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner: images are outer applied to inner's images."""
@@ -248,16 +277,20 @@ _NAMED = {
 }
 
 
+_FAMILIES = {"rho": ("rho:<p>", rho), "tm-like": ("tm-like:<p>:<q>", thue_morse_like)}
+
+
 def named_morphism(key: str) -> Morphism:
     """Resolve a CLI keyword: a fixed name, rho:<p>, or tm-like:<p>:<q>."""
     if key in _NAMED:
         return _NAMED[key]
-    if key.startswith("rho:"):
-        return rho(int(key.split(":")[1]))
-    if key.startswith("tm-like:"):
-        _, p, q = key.split(":")
-        return thue_morse_like(int(p), int(q))
-    raise ValueError(f"unknown morphism name {key!r}")
+    name, *fields = key.split(":")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown morphism name {key!r}")
+    form, family = _FAMILIES[name]
+    if len(fields) != form.count(":") or not all(f.isdecimal() and int(f) > 0 for f in fields):
+        raise ValueError(f"bad morphism name {key!r}: expected {form} with positive integers")
+    return family(*map(int, fields))
 
 
 class ParsedMorphism(NamedTuple):

@@ -14,45 +14,28 @@ from enum import Enum
 from typing import NamedTuple
 
 from .morphisms import Morphism, _require_binary, _require_injective
-from .words import Word, canonical_rotation, commute, is_primitive, primitive_root, rotations
+from .words import PrimitiveRoot, Word, canonical_rotation, commute, is_primitive, primitive_root, rotations
 
 
-class HolubTestSet(NamedTuple):
-    u: Word
-    v: Word
-    swapped: bool
-    pairs: tuple[tuple[int, int], ...]
+def _first_power(m: Morphism) -> tuple[tuple[int, int], Word, PrimitiveRoot] | None:
+    """Holub's exponent scan: the first candidate u**l v**j that is a power.
 
-
-def holub_test_set(m: Morphism) -> HolubTestSet:
-    """Oriented images and the exponent pairs whose primitivity must be checked."""
-    _require_injective(m)
+    The images are oriented so that u is the longer (u first on a tie); the
+    pairs are (2, 1), then (1, j) for j up to (|u| - 4) / |v| + 2. A hit is
+    the pair (l, j), the canonical rotation of the source word whose image is
+    the candidate, and the primitive root of that image. None when every
+    candidate is primitive. The morphism must be injective.
+    """
     u, v = m.images
-    swapped = len(u) < len(v)
-    if swapped:
-        u, v = v, u
+    x, y = 0, 1
+    if len(u) < len(v):
+        u, v, x, y = v, u, 1, 0
     # The formula can go below 1 for short images; (1, 1) is always checked.
     bound = max(1, (len(u) - 4) // len(v) + 2)
-    pairs = ((2, 1),) + tuple((1, j) for j in range(1, bound + 1))
-    return HolubTestSet(u, v, swapped, pairs)
-
-
-class PowerHit(NamedTuple):
-    pair: tuple[int, int]
-    witness: Word  # canonical rotation of the source word
-    z: Word
-    k: int
-
-
-def _scan_power(m: Morphism, tests: HolubTestSet) -> PowerHit | None:
-    """First exponent pair whose candidate word is a power; None when all are primitive."""
-    x, y = (1, 0) if tests.swapped else (0, 1)
-    for l, j in tests.pairs:
-        candidate = tests.u * l + tests.v * j
-        if not is_primitive(candidate):
+    for l, j in [(2, 1), *((1, j) for j in range(1, bound + 1))]:
+        if not is_primitive(u * l + v * j):
             witness = canonical_rotation(bytes([x]) * l + bytes([y]) * j)
-            z, k = primitive_root(m.apply(witness))
-            return PowerHit((l, j), witness, z, k)
+            return (l, j), witness, primitive_root(m.apply(witness))
     return None
 
 
@@ -72,10 +55,8 @@ def is_primitivity_preserving(m: Morphism) -> PpVerdict:
     for letter, image in enumerate(m.images):
         if not is_primitive(image):
             return PpVerdict(False, bytes([letter]))
-    hit = _scan_power(m, holub_test_set(m))
-    if hit is not None:
-        return PpVerdict(False, hit.witness)
-    return PpVerdict(True, None)
+    hit = _first_power(m)
+    return PpVerdict(True, None) if hit is None else PpVerdict(False, hit[1])
 
 
 class PowerCase(Enum):
@@ -112,7 +93,7 @@ def power_words(m: Morphism) -> PowerWordClassification:
     """Exact description of the primitive words whose image under m is a power."""
     _require_injective(m)
     letters = tuple(c for c, image in enumerate(m.images) if not is_primitive(image))
-    hit = _scan_power(m, holub_test_set(m))
+    hit = _first_power(m)
     if hit is None:
         if not letters:
             case = PowerCase.PRESERVING
@@ -124,7 +105,8 @@ def power_words(m: Morphism) -> PowerWordClassification:
     if len(letters) > 1:
         raise AssertionError("a power among the mixed candidates excludes two non-primitive images")
     case = PowerCase.ROTATION_CLASS_PLUS_LETTER if letters else PowerCase.ROTATION_CLASS
-    return PowerWordClassification(case, letters, hit.witness, hit.z, hit.k)
+    _, witness, (z, k) = hit
+    return PowerWordClassification(case, letters, witness, z, k)
 
 
 @dataclass(frozen=True)
@@ -236,12 +218,11 @@ def classify_holub_form(m: Morphism) -> HolubForm | None:
     letter images.
     """
     _require_injective(m)
-    tests = holub_test_set(m)
-    hit = _scan_power(m, tests)
+    hit = _first_power(m)
     if hit is None:
         return None
-    u, v = tests.u, tests.v
-    l, j = hit.pair
+    u, v = sorted(m.images, key=len, reverse=True)  # the scan's orientation: a stable sort
+    (l, j), _, _ = hit
     if (l, j) == (2, 1):
         return _case4(u, v)
     if (l, j) == (1, 1):
@@ -276,22 +257,6 @@ def is_recognizable(m: Morphism) -> RecognizabilityVerdict:
     return RecognizabilityVerdict(True, "primitivity-preserving with non-conjugate images")
 
 
-def decodes_over(w: Word, p: Word, q: Word) -> bool:
-    """Membership of w in {p, q}+ by positional dynamic programming."""
-    if not w:
-        return False
-    n = len(w)
-    ok = [False] * (n + 1)
-    ok[0] = True
-    for i in range(n):
-        if not ok[i]:
-            continue
-        for code in (p, q):
-            if w.startswith(code, i):
-                ok[i + len(code)] = True
-    return ok[n]
-
-
 def check_pp_decomposition(outer: Morphism, inner: Morphism) -> bool:
     """Decide preservation of outer composed with inner without composing.
 
@@ -303,5 +268,4 @@ def check_pp_decomposition(outer: Morphism, inner: Morphism) -> bool:
         raise ValueError("alphabet mismatch: inner does not feed outer")
     if not is_primitivity_preserving(inner).preserving:
         return False
-    p, q = inner.images
-    return not any(decodes_over(x, p, q) for x in power_words(outer).members())
+    return all(inner.decode(x) is None for x in power_words(outer).members())

@@ -3,8 +3,8 @@
 A split (u1, u2) of a factor u synchronizes when every way u can occur
 inside the image of a scoped source word forces a codeword boundary exactly
 between u1 and u2. Scopes describe which source words quantify the check:
-an explicit finite list, all binary words, or the words whose circular
-single-letter runs respect given bounds.
+an explicit finite list, or the words whose circular single-letter runs
+respect given bounds; with no bound at all that is every binary word.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ class FiniteList:
 
 
 @dataclass(frozen=True)
-class FullBinary:
-    pass
-
-
-@dataclass(frozen=True)
 class BoundedLetterRuns:
     """Words whose circular a-runs and b-runs stay within the bounds (None = unbounded)."""
 
@@ -39,9 +34,9 @@ class BoundedLetterRuns:
     max_b: int | None
 
 
-Scope = FiniteList | FullBinary | BoundedLetterRuns
+Scope = FiniteList | BoundedLetterRuns
 
-FULL_BINARY = FullBinary()
+FULL_BINARY = BoundedLetterRuns(None, None)
 
 
 class CircularFactorization(NamedTuple):
@@ -57,35 +52,6 @@ class SyncPair(NamedTuple):
 class SyncVerdict(NamedTuple):
     synchronizing: bool
     reason: str
-
-
-def _decode(word: Word, images: tuple[Word, ...]) -> tuple[int, ...] | None:
-    """The unique factorization of word into codewords, or None.
-
-    Depth-first with dead-position memoization; a two-word code admits at
-    most one factorization per word, so the first complete parse is it.
-    The parse so far is the path: backtracking pops its last codeword and
-    tries the next one at the same position.
-    """
-    dead: set[int] = set()
-    seq: list[int] = []
-    pos = nxt = 0
-    while pos < len(word):
-        idx = len(images) if pos in dead else nxt
-        while idx < len(images) and not word.startswith(images[idx], pos):
-            idx += 1
-        if idx < len(images):
-            seq.append(idx)
-            pos += len(images[idx])
-            nxt = 0
-            continue
-        dead.add(pos)
-        if not seq:
-            return None
-        last = seq.pop()
-        pos -= len(images[last])
-        nxt = last + 1
-    return tuple(seq)
 
 
 def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]:
@@ -107,7 +73,7 @@ def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]
         # factorization found earlier would only find that one again.
         if offset in covered:
             continue
-        seq = _decode(doubled[offset : offset + n], m.images)
+        seq = m.decode(doubled[offset : offset + n])
         if seq is None:
             continue
         pos = offset
@@ -247,8 +213,6 @@ def _scope_run_bounds(scope: Scope) -> tuple[int | None, int | None]:
             max(_max_circular_run(w, 0) for w in scope.words),
             max(_max_circular_run(w, 1) for w in scope.words),
         )
-    if isinstance(scope, FullBinary):
-        return (None, None)
     return (scope.max_a, scope.max_b)
 
 

@@ -68,31 +68,6 @@ def rle(w: Word) -> list[Run]:
     return [(s, len(list(g))) for s, g in groupby(w)]
 
 
-def rle_expand(runs: list[Run]) -> Word:
-    return b"".join(bytes([s]) * count for s, count in runs)
-
-
-def format_runs(runs: list[Run], alphabet: "Alphabet") -> str:
-    """Render runs as ``b^3 a^5``; the empty run list renders as an empty string."""
-    return " ".join(f"{alphabet.letters[s]}^{count}" for s, count in runs)
-
-
-def parse_runs(text: str, alphabet: "Alphabet") -> list[Run]:
-    """Inverse of :func:`format_runs`."""
-    runs: list[Run] = []
-    for chunk in text.split():
-        letter, _, count = chunk.partition("^")
-        if not count or len(letter) != 1:
-            raise ValueError(f"bad run {chunk!r}, expected letter^count")
-        value = int(count)
-        if value <= 0:
-            raise ValueError(f"run count must be positive in {chunk!r}")
-        runs.append((alphabet.word(letter)[0], value))
-    if any(a == b for (a, _), (b, _) in zip(runs, runs[1:])):
-        raise ValueError("adjacent runs must use distinct letters")
-    return runs
-
-
 class PrimitiveRoot(NamedTuple):
     root: Word
     exponent: int
@@ -145,27 +120,11 @@ def all_circular_factors(w: Word) -> set[Word]:
     return found
 
 
-def lcp_lcs(u: Word, v: Word) -> tuple[int, int]:
-    """Lengths of the longest common prefix and suffix of u and v."""
-    limit = min(len(u), len(v))
-    i = 0
-    while i < limit and u[i] == v[i]:
-        i += 1
-    j = 0
-    while j < limit and u[len(u) - 1 - j] == v[len(v) - 1 - j]:
-        j += 1
-    return i, j
-
-
 def commute(u: Word, v: Word) -> bool:
     """True iff uv == vu, i.e. u and v are powers of one primitive word."""
     _require_nonempty(u)
     _require_nonempty(v)
     return u + v == v + u
-
-
-def parikh(w: Word, size: int) -> tuple[int, ...]:
-    return tuple(w.count(s) for s in range(size))
 
 
 def constant_words(size: int, n: int) -> frozenset[Word]:

@@ -150,6 +150,16 @@ def test_sensitivity_csv_and_json(capsys):
     assert [row["as"] for row in payload] == [2, 2, 2]
 
 
+def test_sensitivity_include_constants(capsys):
+    # The constant word aaa has one run and its image (ab)**3 has two, more
+    # than any non-constant word of length 3 gains; only the flag counts it.
+    argv = ("sensitivity", "a=ab,b=abab", "--n-from", "3", "--n-to", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.strip().split("\n")[1]) == (0, "3,0,1,1,aab,aab")
+    code, out, _ = run_cli(capsys, *argv, "--include-constants")
+    assert (code, out.strip().split("\n")[1]) == (0, "3,1,2,1,aaa,aaa")
+
+
 def test_sensitivity_table_mode(capsys):
     code, out, _ = run_cli(capsys, "sensitivity", "period-doubling", "--n-from", "5", "--n-to", "5", "--table1")
     lines = out.strip().split("\n")
@@ -233,6 +243,23 @@ def test_manifest_digests_scope_file_contents(tmp_path, capsys):
         assert recorded["input_digests"] == {str(scope): hashlib.sha256(text.encode()).hexdigest()}
         digests.append(recorded["input_digests"][str(scope)])
     assert digests[0] != digests[1]
+
+
+def test_malformed_morphism_keywords(capsys):
+    for key, form in (
+        ("rho:2:junk", "rho:<p>"),
+        ("rho:", "rho:<p>"),
+        ("rho:x", "rho:<p>"),
+        ("rho:0", "rho:<p>"),
+        ("tm-like:1", "tm-like:<p>:<q>"),
+        ("tm-like:1:2:3", "tm-like:<p>:<q>"),
+        ("tm-like:1:x", "tm-like:<p>:<q>"),
+    ):
+        code, out, err = run_cli(capsys, "classify", key)
+        assert (code, out) == (1, ""), key
+        assert err.startswith("error:") and form in err and err.count("\n") == 1, key
+    code, out, _ = run_cli(capsys, "classify", "tm-like:1:2")
+    assert code == 0 and out.startswith("injective: yes")
 
 
 def test_error_exit_codes(capsys):

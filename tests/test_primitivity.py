@@ -10,13 +10,11 @@ from bwtmorph.primitivity import (
     are_conjugates,
     check_pp_decomposition,
     classify_holub_form,
-    decodes_over,
-    holub_test_set,
     is_primitivity_preserving,
     is_recognizable,
     power_words,
 )
-from bwtmorph.words import BINARY, commute, is_primitive, rotations
+from bwtmorph.words import BINARY, canonical_rotation, commute, is_primitive, rotations
 
 w = BINARY.word
 
@@ -36,6 +34,22 @@ def injective_image_pairs(max_size):
                         yield u, v
 
 
+def holub_candidates(u, v):
+    """Holub's finite test set: the images oriented longer first (u first on a
+    tie) and the pairs (l, j) for which u**l v**j can be a power, namely
+    (2, 1) and (1, j) with j at most (|u| - 4) / |v| + 2."""
+    if len(u) < len(v):
+        u, v = v, u
+    bound = max(1, (len(u) - 4) // len(v) + 2)
+    return u, v, [(2, 1)] + [(1, j) for j in range(1, bound + 1)]
+
+
+def binary_words(max_len):
+    for n in range(max_len + 1):
+        for tup in product((0, 1), repeat=n):
+            yield bytes(tup)
+
+
 def oracle_is_pp(m, max_len):
     """Try every primitive word up to max_len, one per rotation class."""
     for n in range(1, max_len + 1):
@@ -49,19 +63,21 @@ def oracle_is_pp(m, max_len):
 
 
 def test_holub_test_set_examples():
-    tests = holub_test_set(bm("abba", "b"))
-    assert (tests.u, tests.v, tests.swapped) == (w("abba"), w("b"), False)
-    assert tests.pairs == ((2, 1), (1, 1), (1, 2))
-    assert not is_primitive(tests.u + tests.v * 2)
+    u, v, pairs = holub_candidates(w("abba"), w("b"))
+    assert (u, v) == (w("abba"), w("b"))
+    assert pairs == [(2, 1), (1, 1), (1, 2)]
+    assert not is_primitive(u + v * 2)
+    assert is_primitivity_preserving(bm("abba", "b")).witness == w("abb")
 
-    tests = holub_test_set(THUE_MORSE)
-    assert tests.pairs == ((2, 1), (1, 1))
-    assert all(is_primitive(tests.u * l + tests.v * m) for l, m in tests.pairs)
+    u, v, pairs = holub_candidates(*THUE_MORSE.images)
+    assert pairs == [(2, 1), (1, 1)]
+    assert all(is_primitive(u * l + v * m) for l, m in pairs)
 
-    tests = holub_test_set(bm("ba", "ababaa"))
-    assert tests.swapped
-    assert (tests.u, tests.v) == (w("ababaa"), w("ba"))
-    assert not is_primitive(tests.u + tests.v * 2)
+    # The longer image is b's, so the hit (1, 2) is the source word baa.
+    u, v, pairs = holub_candidates(w("ba"), w("ababaa"))
+    assert (u, v) == (w("ababaa"), w("ba"))
+    assert not is_primitive(u + v * 2)
+    assert is_primitivity_preserving(bm("ba", "ababaa")).witness == w("aab")
 
 
 def test_is_primitivity_preserving_fixtures():
@@ -125,14 +141,17 @@ def test_power_words_members_are_sound():
 
 def test_at_most_one_power_among_candidates():
     for u, v in injective_image_pairs(9):
-        m = Morphism((u, v))
-        tests = holub_test_set(m)
-        hits = [
-            (l, j)
-            for l, j in tests.pairs
-            if not is_primitive(tests.u * l + tests.v * j)
-        ]
+        big, small, pairs = holub_candidates(u, v)
+        hits = [(l, j) for l, j in pairs if not is_primitive(big * l + small * j)]
         assert len(hits) <= 1, (u, v, hits)
+        # The library's scan reports the same hit, as a source word's rotation class.
+        witness = power_words(Morphism((u, v))).rotation_witness
+        if hits:
+            (l, j), = hits
+            x, y = (w("b"), w("a")) if len(u) < len(v) else (w("a"), w("b"))
+            assert witness == canonical_rotation(x * l + y * j), (u, v)
+        else:
+            assert witness is None, (u, v)
 
 
 def test_classify_holub_form_examples():
@@ -160,10 +179,9 @@ def test_classify_holub_form_parametric_families():
     case4 = ((p + q) * 3 + p, q + p + p + q)
     for u, v in (case1, case2, case3, case4):
         m = Morphism((u, v))
-        tests = holub_test_set(m)
         form = classify_holub_form(m)
         assert form is not None, (u, v)
-        assert form.rebuild() == (tests.u, tests.v)
+        assert form.rebuild() == holub_candidates(u, v)[:2]
         assert not commute(form.p, form.q)
 
 
@@ -171,13 +189,11 @@ def test_classify_holub_form_rebuild_exhaustive():
     for u, v in injective_image_pairs(9):
         m = Morphism((u, v))
         form = classify_holub_form(m)
-        tests = holub_test_set(m)
-        hit = any(
-            not is_primitive(tests.u * l + tests.v * j) for l, j in tests.pairs
-        )
+        big, small, pairs = holub_candidates(u, v)
+        hit = any(not is_primitive(big * l + small * j) for l, j in pairs)
         if hit:
             assert form is not None, (u, v)
-            assert form.rebuild() == (tests.u, tests.v)
+            assert form.rebuild() == (big, small)
         else:
             assert form is None
 
@@ -205,10 +221,18 @@ def test_is_recognizable():
 
 
 def test_decodes_over():
-    assert decodes_over(w("abba"), w("ab"), w("ba"))
-    assert not decodes_over(w("b"), w("ab"), w("ba"))
-    assert not decodes_over(b"", w("ab"), w("ba"))
-    assert decodes_over(w("aab"), w("a"), w("ab"))
+    assert THUE_MORSE.decode(w("abba")) == (0, 1)
+    assert THUE_MORSE.decode(w("b")) is None
+    assert THUE_MORSE.decode(b"") == ()
+    # The parse a.a dead-ends at b, so the decoder backtracks to a.ab.
+    assert bm("a", "ab").decode(w("aab")) == (0, 1)
+    # A word decodes iff it is the image of a source word, and then into that word.
+    for u, v in injective_image_pairs(5):
+        m = Morphism((u, v))
+        spelled = {m.apply(s): s for s in binary_words(6)}
+        for word in binary_words(6):
+            decoded = m.decode(word)
+            assert decoded == (tuple(spelled[word]) if word in spelled else None), (u, v, word)
 
 
 def test_check_pp_decomposition_fixtures():

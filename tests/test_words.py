@@ -13,12 +13,9 @@ from bwtmorph.words import (
     commute,
     constant_words,
     is_primitive,
-    lcp_lcs,
     necklaces,
-    parikh,
     primitive_root,
     rle,
-    rle_expand,
     rotations,
 )
 
@@ -37,9 +34,13 @@ def test_rle_examples():
     assert rle(Alphabet("abc").word("bcab")) == [(1, 1), (2, 1), (0, 1), (1, 1)]
 
 
+def expand(runs):
+    return b"".join(bytes([s]) * count for s, count in runs)
+
+
 def test_rle_round_trip_exhaustive():
     for word in all_binary_words(16):
-        assert rle_expand(rle(word)) == word
+        assert expand(rle(word)) == word
 
 
 def test_rle_round_trip_random_large():
@@ -47,7 +48,7 @@ def test_rle_round_trip_random_large():
     for _ in range(200):
         word = bytes(rng.randint(0, 3) for _ in range(rng.randint(17, 300)))
         runs = rle(word)
-        assert rle_expand(runs) == word
+        assert expand(runs) == word
         assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
 
 
@@ -111,13 +112,6 @@ def test_circular_factors_against_rotation_slicing():
         }
 
 
-def test_lcp_lcs():
-    assert lcp_lcs(w("abaa"), w("abab"))[0] == 3
-    assert lcp_lcs(w("ab"), w("ba")) == (0, 0)
-    assert lcp_lcs(w("abab"), w("abab")) == (4, 4)
-    assert lcp_lcs(b"", w("ab")) == (0, 0)
-
-
 def test_commute():
     assert commute(w("ab"), w("abab"))
     assert not commute(w("ab"), w("ba"))
@@ -131,11 +125,6 @@ def test_commute_iff_same_primitive_root():
         for v in all_binary_words(8):
             same_root = primitive_root(u).root == primitive_root(v).root
             assert commute(u, v) == same_root
-
-
-def test_parikh():
-    assert parikh(w("abaab"), 2) == (3, 2)
-    assert parikh(b"", 2) == (0, 0)
 
 
 def test_necklace_counts():
@@ -164,22 +153,6 @@ def test_constant_words():
         for n in range(1, 8):
             expected = {rep for rep in necklaces(size, n) if len(set(rep)) == 1}
             assert constant_words(size, n) == expected, (size, n)
-
-
-def test_run_serialization():
-    from bwtmorph.words import format_runs, parse_runs
-
-    runs = rle(w("bbbaaaaa"))
-    assert format_runs(runs, BINARY) == "b^3 a^5"
-    assert parse_runs("b^3 a^5", BINARY) == runs
-    assert format_runs([], BINARY) == ""
-    assert parse_runs("", BINARY) == []
-    with pytest.raises(ValueError):
-        parse_runs("b^3 b^2", BINARY)
-    with pytest.raises(ValueError):
-        parse_runs("b^0", BINARY)
-    with pytest.raises(ValueError):
-        parse_runs("zebra", BINARY)
 
 
 def test_alphabet_rendering():
