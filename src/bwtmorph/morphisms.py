@@ -14,10 +14,6 @@ from typing import Iterator, NamedTuple
 
 from .words import BINARY, Alphabet, Word, primitive_root
 
-_AB = b"\x00\x01"
-_BA = b"\x01\x00"
-
-
 @dataclass(frozen=True)
 class Morphism:
     images: tuple[Word, ...]
@@ -98,7 +94,8 @@ def _require_binary(m: Morphism) -> None:
 def is_injective_binary(m: Morphism) -> bool:
     """For binary sources, injective iff acyclic iff the images do not commute."""
     _require_binary(m)
-    return m.apply(_AB) != m.apply(_BA)
+    u, v = m.images
+    return u + v != v + u
 
 
 def _require_injective(m: Morphism) -> None:
@@ -128,7 +125,8 @@ def abelian_order_class(m: Morphism) -> OrderClass:
     _require_binary(m)
     if is_cyclic(m) is not None:
         raise ValueError("order class is defined only for acyclic morphisms")
-    return OrderClass.PRESERVING if m.apply(_AB) < m.apply(_BA) else OrderClass.REVERSING
+    u, v = m.images
+    return OrderClass.PRESERVING if u + v < v + u else OrderClass.REVERSING
 
 
 class BifixStatus(Enum):
@@ -222,31 +220,20 @@ def peel_elementary(m: Morphism) -> PeelStep | None:
 def is_sturmian(m: Morphism) -> bool:
     """True iff m is a composition of FIBONACCI, FIBONACCI_TILDE and EXCHANGE.
 
-    Repeated elementary peeling must reach the identity or the exchange;
-    the total image length strictly shrinks at each peel, and all peel
-    choices are explored so the answer does not depend on the preference
-    order.
+    A morphism that maps one Sturmian word to a Sturmian word is Sturmian
+    (Mignosi and Seebold, 1993), so every peel of a Sturmian morphism leaves
+    a Sturmian morphism: peeling the first available elementary factor until
+    none is left reaches the identity or the exchange exactly when m is
+    Sturmian. The total image length strictly shrinks at each peel.
     """
     _require_injective(m)
-    terminal = {IDENTITY.images, EXCHANGE.images}
-    if m.images in terminal:
-        return True
-    failed: set[tuple[Word, Word]] = set()
-    # Depth-first over peel chains, one open peel iterator per level: a
-    # chain can be as long as the images, too deep for recursion.
-    stack = [(m.images, _elementary_peels(*m.images))]
-    while stack:
-        images, peels = stack[-1]
-        for _, peeled in peels:
-            if peeled in terminal:
-                return True
-            if peeled not in failed:
-                stack.append((peeled, _elementary_peels(*peeled)))
-                break
-        else:
-            failed.add(images)
-            stack.pop()
-    return False
+    images = m.images
+    while images not in (IDENTITY.images, EXCHANGE.images):
+        peel = next(_elementary_peels(*images), None)
+        if peel is None:
+            return False
+        images = peel[1]
+    return True
 
 
 def factor_through_tau(m: Morphism) -> Morphism | None:

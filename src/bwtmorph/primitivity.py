@@ -134,24 +134,21 @@ class HolubForm:
 
 
 def _case1(u: Word, v: Word) -> HolubForm | None:
-    # u = (pq)^m p, v = q(pq)^n with m + n >= 1; lengths fix |p|, |q| per (m, n).
-    for total in range(1, len(u) + len(v) + 1):
-        for mm in range(0, total + 1):
-            nn = total - mm
-            det = mm + nn + 1
-            lp = ((nn + 1) * len(u) - mm * len(v))
-            lq = ((mm + 1) * len(v) - nn * len(u))
-            if lp % det or lq % det:
-                continue
-            lp //= det
-            lq //= det
-            if lp < 1 or lq < 1:
-                continue
-            p = u[:lp]
-            q = v[:lq]
-            form = HolubForm(1, p, q, {"m": mm, "n": nn})
-            if not commute(p, q) and form.rebuild() == (u, v):
-                return form
+    # u = (pq)^m p, v = q(pq)^n with m + n >= 1, so |uv| = (m + n + 1)|pq|:
+    # each divisor det >= 2 of |uv| fixes |pq|, and then |u| fixes m and |p|.
+    total = len(u) + len(v)
+    for det in range(2, total // 2 + 1):
+        if total % det:
+            continue
+        size = total // det
+        mm, lp = divmod(len(u), size)
+        if lp == 0 or mm >= det:
+            continue
+        p = u[:lp]
+        q = v[: size - lp]
+        form = HolubForm(1, p, q, {"m": mm, "n": det - 1 - mm})
+        if not commute(p, q) and form.rebuild() == (u, v):
+            return form
     return None
 
 
@@ -169,6 +166,8 @@ def _case2(u: Word, v: Word, n: int) -> HolubForm | None:
 
 
 def _case3(u: Word, v: Word, k: int) -> HolubForm | None:
+    # v = q(pq)^m fixes |p| per (m, |q|); then
+    # |u| = n(|pq| + (k-1)|v|) + 2|pq| + (k-2)|v| fixes n.
     for mm in range(1, len(v) + 1):
         for lq in range(1, len(v)):
             lp = len(v) - (mm + 1) * lq
@@ -179,34 +178,31 @@ def _case3(u: Word, v: Word, k: int) -> HolubForm | None:
             p = v[lq : lq + lp]
             if commute(p, q):
                 continue
-            for nn in range(0, len(u) + 1):
-                form = HolubForm(3, p, q, {"k": k, "m": mm, "n": nn})
-                rebuilt = form.rebuild()
-                if len(rebuilt[0]) > len(u):
-                    break
-                if rebuilt == (u, v):
-                    return form
+            nn, rest = divmod(len(u) - 2 * (lp + lq) - (k - 2) * len(v), lp + lq + (k - 1) * len(v))
+            if nn < 0 or rest:
+                continue
+            form = HolubForm(3, p, q, {"k": k, "m": mm, "n": nn})
+            if form.rebuild() == (u, v):
+                return form
     return None
 
 
 def _case4(u: Word, v: Word) -> HolubForm | None:
+    # v = qppq fixes |p| per |q|; then |u| = m|pq| + |p| fixes m.
     if len(v) % 2:
         return None
     for lq in range(1, len(v) // 2):
-        lp = (len(v) - 2 * lq) // 2
-        if lp < 1:
-            continue
+        lp = len(v) // 2 - lq
         q = v[:lq]
         p = v[lq : lq + lp]
         if commute(p, q):
             continue
-        for mm in range(2, len(u) + 1):
-            form = HolubForm(4, p, q, {"m": mm})
-            rebuilt = form.rebuild()
-            if len(rebuilt[0]) > len(u):
-                break
-            if rebuilt == (u, v):
-                return form
+        mm, rest = divmod(len(u) - lp, lp + lq)
+        if mm < 2 or rest:
+            continue
+        form = HolubForm(4, p, q, {"m": mm})
+        if form.rebuild() == (u, v):
+            return form
     return None
 
 

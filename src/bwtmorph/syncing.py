@@ -84,11 +84,6 @@ def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]
     return found
 
 
-def _run_bounds_ok(w: Word, max_a: int | None, max_b: int | None) -> bool:
-    bounds = (max_a, max_b)
-    return all(bounds[s] is None or count <= bounds[s] for s, count in rle(w))
-
-
 def _interpretation_splits(u: Word, images: tuple[Word, ...], bounds: tuple[int | None, int | None]) -> int:
     """Bitmask of the splits of u at which every interpretation of u cuts.
 
@@ -183,36 +178,49 @@ def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
     """Least k such that every circular factor of m(w) of length >= k has a sync pair.
 
     The quantification runs over all binary source words. None when some
-    full rotation of the image admits no pair at all.
+    full rotation of the image admits no pair at all. A pair of u is a pair
+    of every factor that extends u, since each interpretation of the longer
+    factor restricts to one of u; so the factors without a pair are closed
+    under taking factors. Whether every circular factor of a length has a
+    pair is therefore monotone in the length, and the delay is the first
+    length at which it holds, found by doubling and then bisecting. A
+    rotation without a pair leaves a factor without one at every length.
     """
     _require_injective(m)
     if not w:
         raise ValueError("delay is undefined for the empty word")
     image = m.apply(w)
-    for length in range(len(image), -1, -1):
-        bad = any(
-            not _interpretation_splits(factor, m.images, (None, None))
-            for factor in circular_factors(image, length)
-        )
-        if bad:
-            return None if length == len(image) else length + 1
-    return 1
+
+    def all_paired(length: int) -> bool:
+        return all(_interpretation_splits(f, m.images, (None, None)) for f in circular_factors(image, length))
+
+    lo, hi = 0, 1  # no length up to lo works
+    while not all_paired(hi):
+        if hi == len(image):
+            return None
+        lo, hi = hi, min(2 * hi, len(image))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if all_paired(mid) else (mid, hi)
+    return hi
 
 
-def _max_circular_run(w: Word, symbol: int) -> int:
-    if not w:
-        return 0
-    if all(s == symbol for s in w):
-        return len(w)
-    return max((count for s, count in rle(w + w) if s == symbol), default=0)
+def _longest_circular_runs(w: Word) -> tuple[int, int]:
+    """The longest circular a-run and b-run of w; a constant word is one run.
+
+    Every run of ww lies in a circular run of w, and a word with both
+    letters has each circular run whole in ww.
+    """
+    longest: dict[int, int] = {}
+    for s, count in rle(w + w):
+        longest[s] = max(longest.get(s, 0), min(count, len(w)))
+    return longest.get(0, 0), longest.get(1, 0)
 
 
 def _scope_run_bounds(scope: Scope) -> tuple[int | None, int | None]:
     if isinstance(scope, FiniteList):
-        return (
-            max(_max_circular_run(w, 0) for w in scope.words),
-            max(_max_circular_run(w, 1) for w in scope.words),
-        )
+        a_runs, b_runs = zip(*map(_longest_circular_runs, scope.words))
+        return max(a_runs), max(b_runs)
     return (scope.max_a, scope.max_b)
 
 
@@ -235,16 +243,15 @@ def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
             which = "a" if max_a is not None else "b"
             return SyncVerdict(True, f"conjugate images but circular {which}-runs are bounded in the scope")
         return SyncVerdict(False, "conjugate images and both letters have unbounded circular runs")
-    witnesses = power_words(m).members()
     if isinstance(scope, FiniteList):
         return SyncVerdict(True, "finite scope: only finitely many powers of any witness occur")
     bounds = (max_a, max_b)
-    for x in witnesses:
+    for x in power_words(m).members():
         if len(x) == 1:
             unbounded = bounds[x[0]] is None
         else:
             # Powers of a mixed word all share its circular run profile.
-            unbounded = _run_bounds_ok(x + x, max_a, max_b)
+            unbounded = all(cap is None or run <= cap for run, cap in zip(_longest_circular_runs(x), bounds))
         if unbounded:
             return SyncVerdict(False, "unbounded powers of a power-witness word occur in the scope")
     return SyncVerdict(True, "every power-witness word exceeds the scope's run bounds")

@@ -20,6 +20,7 @@ from bwtmorph.morphisms import (
     BifixStatus,
     Morphism,
     OrderClass,
+    _elementary_peels,
     abelian_order_class,
     bifix_status,
     compose,
@@ -200,6 +201,41 @@ def test_is_sturmian_on_a_long_peel_chain():
     # a -> a, b -> a^k bb down to the bifix dead end (a, bb).
     assert is_sturmian(bm("a", "a" * 3000 + "b"))
     assert not is_sturmian(bm("a", "a" * 3000 + "bb"))
+
+
+def dfs_is_sturmian(m):
+    """Search every peel chain, memoising the images that lead nowhere."""
+    terminal = {IDENTITY.images, EXCHANGE.images}
+    failed = set()
+
+    def reaches(images):
+        if images in terminal:
+            return True
+        if images in failed:
+            return False
+        if any(reaches(peeled) for _, peeled in _elementary_peels(*images)):
+            return True
+        failed.add(images)
+        return False
+
+    return reaches(m.images)
+
+
+def test_greedy_peeling_equals_the_peel_chain_search():
+    # Every injective pair of size <= 12; 658 of them are Sturmian.
+    found = 0
+    for size in range(2, 13):
+        for la in range(1, size):
+            for ia in product((0, 1), repeat=la):
+                for ib in product((0, 1), repeat=size - la):
+                    u, v = bytes(ia), bytes(ib)
+                    if u + v == v + u:
+                        continue
+                    m = Morphism((u, v))
+                    expected = dfs_is_sturmian(m)
+                    assert is_sturmian(m) == expected, (u, v)
+                    found += expected
+    assert found == 658
 
 
 def test_sturmian_closed_under_elementary_composition():

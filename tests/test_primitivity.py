@@ -165,6 +165,16 @@ def test_classify_holub_form_examples():
     assert (form.case_index, form.p, form.q) == (2, w("a"), w("b"))
     assert form.exponents == {"m": 1, "n": 2}
 
+    form = classify_holub_form(bm("abbababbabababbababba", "babab"))
+    assert form is not None
+    assert (form.case_index, form.p, form.q) == (3, w("a"), w("b"))
+    assert form.exponents == {"k": 3, "m": 2, "n": 1}
+
+    form = classify_holub_form(bm("abbabbabbabba", "bbaabb"))
+    assert form is not None
+    assert (form.case_index, form.p, form.q) == (4, w("a"), w("bb"))
+    assert form.exponents == {"m": 4}
+
     assert classify_holub_form(THUE_MORSE) is None
     assert classify_holub_form(PERIOD_DOUBLING) is None
 

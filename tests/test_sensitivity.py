@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtmorph.bwt import run_count
 from bwtmorph.morphisms import (
@@ -77,6 +80,15 @@ def test_sensitivity_sturmian_zero():
     # Non-Sturmian control in the same range.
     assert not is_sturmian(THUE_MORSE)
     assert sensitivity(THUE_MORSE, 5).as_value != 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from((EXCHANGE, FIBONACCI, FIBONACCI_TILDE)), min_size=1, max_size=6))
+def test_products_of_sturmian_generators_have_zero_sensitivity(factors):
+    m = reduce(compose, factors)
+    assert is_sturmian(m)
+    for n in range(2, 10):
+        assert sensitivity(m, n).as_value == 0, (m.images, n)
 
 
 def test_sensitivity_cyclic_example():

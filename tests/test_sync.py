@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import groupby, product
 
 import pytest
@@ -18,6 +19,7 @@ from bwtmorph.syncing import (
     sync_delay_for_word,
 )
 from bwtmorph.words import BINARY, all_circular_factors, canonical_rotation, circular_factors, necklaces
+from test_acceptance import budget
 
 w = BINARY.word
 
@@ -207,6 +209,34 @@ def test_sync_delay_for_word():
     assert sync_delay_for_word(THUE_MORSE, w("abbaab")) == 5
 
 
+def top_down_delay(m, word):
+    """The delay by its definition: scan lengths from |m(word)| down to the
+    longest one with a circular factor that has no pair."""
+    image = m.apply(word)
+    for length in range(len(image), -1, -1):
+        if not all(find_sync_pairs(f, m, FULL_BINARY) for f in circular_factors(image, length)):
+            return None if length == len(image) else length + 1
+    return 1
+
+
+def test_delay_equals_the_top_down_scan():
+    # Every injective morphism of size <= 5 with every word of length <= 5.
+    # Over all source words the delay depends only on the set of images and
+    # the rotation class of the image, so the scan runs once per such pair.
+    sources = [f for f in binary_words(5) if f]
+    images = [f for f in sources if len(f) <= 4]
+    scanned = {}
+    for u, v in product(images, repeat=2):
+        if len(u) + len(v) > 5 or u + v == v + u:
+            continue
+        m = Morphism((u, v))
+        for word in sources:
+            key = (frozenset(m.images), canonical_rotation(m.apply(word)))
+            if key not in scanned:
+                scanned[key] = top_down_delay(m, word)
+            assert sync_delay_for_word(m, word) == scanned[key], (u, v, word)
+
+
 def test_sync_delay_for_long_a_runs():
     # Enumerating source words past each factor would need 2^(2n+4) of them.
     for n in range(1, 21):
@@ -227,6 +257,15 @@ def test_sync_cli_on_a_ten_letter_word(capsys):
     image = THUE_MORSE.apply(w("aabbabaabb"))
     assert all(brute_splits(f, THUE_MORSE, 7) for f in circular_factors(image, 5))
     assert not all(brute_splits(f, THUE_MORSE, 6) for f in circular_factors(image, 4))
+
+
+def test_sync_cli_on_a_200_letter_word(capsys):
+    # 13 is also what the top-down scan finds, far outside this budget.
+    rng = random.Random(200)
+    word = "".join(rng.choice("ab") for _ in range(200))
+    with budget(5.0):
+        out = run_sync(capsys, "thue-morse", "--word", word)
+    assert out.splitlines()[-1] == "delay: 13"
 
 
 def test_sync_cli_counts_with_a_one_letter_image(capsys):
