@@ -42,19 +42,28 @@ def rotation_order(w: Word) -> list[int]:
 def _rotation_order_doubling(w: Word) -> list[int]:
     """Prefix doubling (Manber and Myers) over the n cyclic positions.
 
-    A round sorts on packed (rank[i], rank[i + length]) keys, so rank[i]
-    then orders rotation i by its first 2*length symbols. It stops once all
-    ranks differ, or once 2*length >= n: rotations still tied are then
-    equal, and the stable sort has kept them in ascending shift order.
+    keys[i] orders rotation i by its first `length` cyclic symbols, and
+    every key is below `base`. The first windows are packed without
+    sorting: keys[i] * base + keys[i + length] is the base-`base` numeral
+    of the first 2*length symbols, so it orders them exactly; packing goes
+    on while base**2 fits in 60 bits (32 symbols of a binary word). Each
+    later round sorts, re-ranks, and packs (rank[i], rank[i + length]) the
+    same way. It stops once all ranks differ, or once length >= n:
+    rotations still tied are then equal, and every round sorts range(n)
+    stably, so they keep ascending shift order.
     """
     n = len(w)
-    rank = list(w)
+    keys = list(w)
     base = max(w) + 1
-    order = [0]
     length = 1
-    while length < n:
-        keys = [a * base + b for a, b in zip(rank, rank[length:] + rank[:length])]
+    while length < n and base * base <= 1 << 60:
+        keys = [a * base + b for a, b in zip(keys, keys[length:] + keys[:length])]
+        base *= base
+        length *= 2
+    while True:
         order = sorted(range(n), key=keys.__getitem__)
+        if length >= n:
+            return order
         rank = [0] * n
         top = prev = -1
         for i in order:
@@ -64,10 +73,10 @@ def _rotation_order_doubling(w: Word) -> list[int]:
                 prev = key
             rank[i] = top
         if top == n - 1:
-            break
+            return order
         base = top + 1
+        keys = [a * base + b for a, b in zip(rank, rank[length:] + rank[:length])]
         length *= 2
-    return order
 
 
 def bwt(w: Word) -> BwtResult:
@@ -103,8 +112,21 @@ def inverse_bwt(t: Word, primary_index: int) -> Word:
 
 
 def run_count(w: Word) -> int:
-    """Number of equal-letter runs of the transform of w."""
-    return len(rle(bwt(w).transformed))
+    """Number of equal-letter runs of the transform of w.
+
+    Up to the sort cutoff the rotations themselves are sorted and the last
+    symbol of each is read: equal rotations are equal strings, so how ties
+    are ordered cannot change the last column. Above it the column is read
+    off the rotation order.
+    """
+    _require_nonempty(w)
+    n = len(w)
+    if n <= _SMALL_SORT_LIMIT:
+        doubled = w + w
+        rotations = [doubled[i : i + n] for i in range(n)]
+        rotations.sort()
+        return len(rle(bytes([r[-1] for r in rotations])))
+    return len(rle(bytes([w[i - 1] for i in rotation_order(w)])))
 
 
 def bwt_of_power(z: Word, p: int) -> BwtResult:

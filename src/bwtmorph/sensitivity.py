@@ -60,7 +60,10 @@ def sensitivity(m: Morphism, n: int, include_constant_words: bool = False) -> Se
     if n < 1:
         raise ValueError("sensitivity needs n >= 1")
     best_add: int | None = None
-    best_mul: Fraction | None = None
+    # The ratio maximum is kept as num / den and compared by cross
+    # multiplication (run counts are positive). Every image is non-empty, so
+    # its run count is at least 1 and the first word beats the start 0 / 1.
+    num, den = 0, 1
     add_witness = mul_witness = b""
     skipped = frozenset() if include_constant_words else constant_words(sigma, n)
     for w in necklaces(sigma, n):
@@ -69,14 +72,13 @@ def sensitivity(m: Morphism, n: int, include_constant_words: bool = False) -> Se
         before = run_count(w)
         after = run_count(m.apply(w))
         add = after - before
-        mul = Fraction(after, before)
         if best_add is None or add > best_add:
             best_add, add_witness = add, w
-        if best_mul is None or mul > best_mul:
-            best_mul, mul_witness = mul, w
-    if best_add is None or best_mul is None:
+        if after * den > num * before:
+            num, den, mul_witness = after, before, w
+    if best_add is None:
         raise ValueError(f"no qualifying words of length {n}")
-    return SensitivityRow(n, best_add, best_mul, add_witness, mul_witness)
+    return SensitivityRow(n, best_add, Fraction(num, den), add_witness, mul_witness)
 
 
 def cyclic_sensitivity_constants(m: Morphism) -> tuple[int, Fraction]:

@@ -135,24 +135,34 @@ def constant_words(size: int, n: int) -> frozenset[Word]:
 def necklaces(size: int, n: int) -> Iterator[Word]:
     """Canonical necklace representatives of length n, in ascending order.
 
-    Successor-based generation: each emitted word is the lexicographically
-    least rotation of its class, and the classes partition all size**n words.
+    The arguments are checked at the call, and the words come from a
+    generator running the Fredricksen-Kessler-Maiorana successor: raise the
+    last symbol that can still grow, then repeat the prefix ending there,
+    of length p, periodically to length n. That visits the prenecklaces
+    (prefixes of necklaces) in ascending order, and a prenecklace whose
+    period p divides n is exactly a least rotation, so each rotation class
+    is emitted once, in order.
     """
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
     if n < 1:
         raise ValueError("necklace length must be at least 1")
-    a = bytearray(n + 1)
+    return _necklaces(size, n)
 
-    def gen(t: int, p: int) -> Iterator[Word]:
-        if t > n:
-            if n % p == 0:
-                yield bytes(a[1:])
-        else:
-            a[t] = a[t - p]
-            yield from gen(t + 1, p)
-            for j in range(a[t - p] + 1, size):
-                a[t] = j
-                yield from gen(t + 1, t)
 
-    return gen(1, 1)
+def _necklaces(size: int, n: int) -> Iterator[Word]:
+    top = size - 1
+    a = [0] * n
+    yield bytes(a)
+    while True:
+        i = n - 1
+        while i >= 0 and a[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        p = i + 1
+        for j in range(p, n):
+            a[j] = a[j - p]
+        if n % p == 0:
+            yield bytes(a)

@@ -15,7 +15,7 @@ from bwtmorph.bwt import (
     run_count,
 )
 from bwtmorph.morphisms import EXCHANGE, FIBONACCI, FIBONACCI_TILDE, compose
-from bwtmorph.words import BINARY, Alphabet, EmptyWordError, is_primitive, necklaces, rotations
+from bwtmorph.words import BINARY, Alphabet, EmptyWordError, is_primitive, necklaces, rle, rotations
 
 w = BINARY.word
 TERNARY = Alphabet("abc")
@@ -43,6 +43,8 @@ def test_known_transforms():
     assert bwt(b"\x00" * 7) == (b"\x00" * 7, 0)
     with pytest.raises(EmptyWordError):
         bwt(b"")
+    with pytest.raises(EmptyWordError):
+        run_count(b"")
 
 
 def test_run_count_table_values():
@@ -81,10 +83,21 @@ def test_doubling_path_matches_small_path():
         for n in (_SMALL_SORT_LIMIT - 1, _SMALL_SORT_LIMIT, _SMALL_SORT_LIMIT + 1)
     ]
     words.append(w("ab") * (_SMALL_SORT_LIMIT // 2) + w("a"))
+    # Larger alphabets pack fewer symbols per starting window (4 letters:
+    # 16, 256 letters: 4), so the packing rounds and the ranked rounds vary.
+    words += [bytes(rng.randrange(sigma) for _ in range(rng.randint(1025, 3000))) for sigma in (4, 256) for _ in range(2)]
+    words += [bytes([255, 0, 255]) * 400, bytes(range(256)) * 5]
     for word in words:
         expected = slice_order(word)
         assert _rotation_order_doubling(word) == expected
         assert rotation_order(word) == expected
+    # Words of one to three symbols go straight to the doubling sort, where
+    # packing overshoots the length after one or two rounds.
+    for sigma in (1, 2, 3, 256):
+        for n in (1, 2, 3):
+            for _ in range(20):
+                word = bytes(rng.randrange(sigma) for _ in range(n))
+                assert _rotation_order_doubling(word) == slice_order(word)
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,6 +105,21 @@ def test_doubling_path_matches_small_path():
 def test_doubling_order_is_the_slice_order_with_shift_ties(root, power):
     word = root * power
     assert _rotation_order_doubling(word) == slice_order(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.binary(min_size=1, max_size=80),
+        st.binary(min_size=_SMALL_SORT_LIMIT - 40, max_size=_SMALL_SORT_LIMIT + 200),
+    ).map(lambda raw: bytes(x % 3 for x in raw)),
+    st.integers(1, 3),
+)
+def test_run_count_counts_the_runs_of_the_transform(root, power):
+    # run_count sorts rotation strings up to the cutoff and reads the
+    # rotation order above it; both must agree with the transform itself.
+    for word in (root, root * power):
+        assert run_count(word) == len(rle(bwt(word).transformed))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwtmorph.bwt import run_count
+from bwtmorph.bwt import bwt, run_count
 from bwtmorph.morphisms import (
     EXCHANGE,
     FIBONACCI,
@@ -30,7 +31,7 @@ from bwtmorph.sensitivity import (
     sensitivity,
     wk_word,
 )
-from bwtmorph.words import BINARY, Alphabet, necklaces
+from bwtmorph.words import BINARY, Alphabet, canonical_rotation, necklaces, rle
 
 w = BINARY.word
 TERNARY = Alphabet("abc")
@@ -99,6 +100,43 @@ def test_sensitivity_cyclic_example():
     # r(a^n) = 1 undercuts the two-run minimum of non-constant words.
     row = sensitivity(CYCLIC, 6, include_constant_words=True)
     assert (row.as_value, row.ms_value) == (5, Fraction(6))
+
+
+def reference_sensitivity(m, n, include_constant_words):
+    # Every least rotation from a brute-force list, run counts read off the
+    # transform, and the ratio kept as a Fraction; strict > keeps the least
+    # witness of each maximum.
+    def runs(word):
+        return len(rle(bwt(word).transformed))
+
+    reps = sorted({canonical_rotation(bytes(t)) for t in product(range(m.source_size), repeat=n)})
+    best = None
+    for rep in reps:
+        if len(set(rep)) == 1 and not include_constant_words:
+            continue
+        before, after = runs(rep), runs(m.apply(rep))
+        add, mul = after - before, Fraction(after, before)
+        if best is None:
+            best = [add, mul, rep, rep]
+        if add > best[0]:
+            best[0], best[2] = add, rep
+        if mul > best[1]:
+            best[1], best[3] = mul, rep
+    return (n, best[0], best[1], best[2], best[3])
+
+
+def test_sensitivity_equals_the_fraction_reference():
+    binary = [THUE_MORSE, PERIOD_DOUBLING, FIBONACCI, rho(2), CYCLIC, bm("a", "bab"), bm("abaa", "aaab")]
+    ternary = [
+        Morphism((TERNARY.word("b"), TERNARY.word("a"), TERNARY.word("c"))),
+        Morphism((TERNARY.word("ab"), TERNARY.word("c"), TERNARY.word("cab"))),
+    ]
+    for fixtures, top in ((binary, 10), (ternary, 6)):
+        for m in fixtures:
+            for n in range(2, top + 1):
+                for include in (False, True):
+                    row = sensitivity(m, n, include_constant_words=include)
+                    assert tuple(row) == reference_sensitivity(m, n, include), (m.images, n, include)
 
 
 def test_cyclic_sensitivity_constants():

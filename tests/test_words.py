@@ -147,6 +147,20 @@ def test_necklaces_partition_binary_words():
         assert len(covered) == 2 ** n
 
 
+def test_necklaces_are_the_least_rotations_in_order():
+    for size in (1, 2, 3, 4):
+        for n in range(1, {1: 6, 2: 11, 3: 7, 4: 6}[size]):
+            least = sorted({canonical_rotation(bytes(t)) for t in product(range(size), repeat=n)})
+            assert list(necklaces(size, n)) == least, (size, n)
+
+
+def test_necklaces_check_arguments_at_the_call():
+    with pytest.raises(ValueError):
+        necklaces(0, 3)
+    with pytest.raises(ValueError):
+        necklaces(2, 0)
+
+
 def test_constant_words():
     assert constant_words(3, 2) == {w("aa"), w("bb"), Alphabet("abc").word("cc")}
     for size in (1, 2, 3):
