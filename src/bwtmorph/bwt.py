@@ -8,10 +8,10 @@ shift, which makes the primary index deterministic.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
-from .words import Word, _require_nonempty, rle
+from .words import Word, _require_nonempty
 
 # Above this length, rotation sorting switches from doubled-word slice
 # comparison to cyclic prefix doubling; both orders are identical by
@@ -114,19 +114,27 @@ def inverse_bwt(t: Word, primary_index: int) -> Word:
 def run_count(w: Word) -> int:
     """Number of equal-letter runs of the transform of w.
 
-    Up to the sort cutoff the rotations themselves are sorted and the last
-    symbol of each is read: equal rotations are equal strings, so how ties
-    are ordered cannot change the last column. Above it the column is read
-    off the rotation order.
+    Only the rotations of the primitive root z of w = z**p are sorted:
+    bwt(z**p) repeats each symbol of bwt(z) p times (see `bwt_of_power`),
+    so both have the same runs. The least i >= 1 at which w occurs in ww is
+    |z|, as in `words.primitive_root`, and the first 2|z| symbols of ww are
+    zz. Up to the sort cutoff the rotations themselves are sorted and the
+    last symbol of each is read: equal rotations are equal strings, so how
+    ties are ordered cannot change the last column. Above it the column is
+    read off the rotation order. The runs of the column are counted by
+    `groupby` without building their (symbol, length) pairs.
     """
     _require_nonempty(w)
-    n = len(w)
+    doubled = w + w
+    n = doubled.find(w, 1)
     if n <= _SMALL_SORT_LIMIT:
-        doubled = w + w
         rotations = [doubled[i : i + n] for i in range(n)]
         rotations.sort()
-        return len(rle(bytes([r[-1] for r in rotations])))
-    return len(rle(bytes([w[i - 1] for i in rotation_order(w)])))
+        column = [r[-1] for r in rotations]
+    else:
+        z = w[:n]
+        column = [z[i - 1] for i in rotation_order(z)]
+    return len(list(groupby(column)))
 
 
 def bwt_of_power(z: Word, p: int) -> BwtResult:

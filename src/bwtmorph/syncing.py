@@ -170,7 +170,7 @@ def find_sync_pairs(factor: Word, m: Morphism, scope: Scope) -> list[SyncPair]:
     if isinstance(scope, FiniteList):
         survivors = _finite_scope_splits(factor, m, scope.words)
     else:
-        survivors = _interpretation_splits(factor, m.images, _scope_run_bounds(scope))
+        survivors = _interpretation_splits(factor, m.images, (scope.max_a, scope.max_b))
     return [SyncPair(factor, s) for s in range(len(factor) + 1) if survivors >> s & 1]
 
 
@@ -217,13 +217,6 @@ def _longest_circular_runs(w: Word) -> tuple[int, int]:
     return longest.get(0, 0), longest.get(1, 0)
 
 
-def _scope_run_bounds(scope: Scope) -> tuple[int | None, int | None]:
-    if isinstance(scope, FiniteList):
-        a_runs, b_runs = zip(*map(_longest_circular_runs, scope.words))
-        return max(a_runs), max(b_runs)
-    return (scope.max_a, scope.max_b)
-
-
 def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
     """Dichotomy-based decision, without enumerating factors.
 
@@ -237,14 +230,19 @@ def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
     rec = is_recognizable(m)
     if rec.recognizable:
         return SyncVerdict(True, "recognizable, so synchronizing with finite delay on every scope")
-    max_a, max_b = _scope_run_bounds(scope)
-    if is_primitivity_preserving(m).preserving:
+    preserving = is_primitivity_preserving(m).preserving
+    if isinstance(scope, FiniteList):
+        # A finite list bounds the circular runs of both letters, so the
+        # conjugate-image verdict names the first one, a.
+        if preserving:
+            return SyncVerdict(True, "conjugate images but circular a-runs are bounded in the scope")
+        return SyncVerdict(True, "finite scope: only finitely many powers of any witness occur")
+    max_a, max_b = scope.max_a, scope.max_b
+    if preserving:
         if max_a is not None or max_b is not None:
             which = "a" if max_a is not None else "b"
             return SyncVerdict(True, f"conjugate images but circular {which}-runs are bounded in the scope")
         return SyncVerdict(False, "conjugate images and both letters have unbounded circular runs")
-    if isinstance(scope, FiniteList):
-        return SyncVerdict(True, "finite scope: only finitely many powers of any witness occur")
     bounds = (max_a, max_b)
     for x in power_words(m).members():
         if len(x) == 1:

@@ -206,6 +206,34 @@ def test_power_law_and_power_transform():
 @given(
     st.one_of(
         st.binary(min_size=1, max_size=40),
+        st.binary(min_size=_SMALL_SORT_LIMIT // 8, max_size=_SMALL_SORT_LIMIT // 4),
+    ).map(lambda raw: bytes(x % 3 for x in raw)),
+    st.integers(1, 12),
+)
+def test_run_count_of_a_power_is_the_run_count_of_its_root(z, p):
+    # bwt_of_power never sorts z**p, so it is an oracle for the root shortcut.
+    assert run_count(z * p) == run_count(z) == len(rle(bwt_of_power(z, p).transformed))
+
+
+def test_run_count_of_powers_across_the_sort_cutoff():
+    # The powers pass the cutoff while their roots stay below it, or both
+    # pass it; the full transform sorts every rotation of the power.
+    rng = random.Random(8)
+    short_root = bytes(rng.randint(0, 1) for _ in range(256))
+    long_root = bytes(rng.randint(0, 2) for _ in range(1500))
+    for word in (w("ab") * 3000, w("aab") * 400, short_root * 5, bytes(range(256)) * 5, long_root * 2):
+        assert len(word) > _SMALL_SORT_LIMIT
+        assert run_count(word) == len(rle(bwt(word).transformed))
+    # Constant words are powers of a one-letter root: one run at any length.
+    for s in (0, 1, 2, 255):
+        for n in (1, 2, _SMALL_SORT_LIMIT, _SMALL_SORT_LIMIT + 1, 5000):
+            assert run_count(bytes([s]) * n) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.binary(min_size=1, max_size=40),
         st.binary(min_size=_SMALL_SORT_LIMIT // 4, max_size=_SMALL_SORT_LIMIT // 2),
     ).map(lambda raw: bytes(x % 3 for x in raw)),
     st.integers(1, 4),

@@ -137,6 +137,11 @@ def test_decide_delay_file_scope(tmp_path, capsys):
     path.write_text("aab\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "decide-delay", "a=ab,c=ba", "--scope", f"file:{path}")
     assert (code, out) == (1, "") and err.startswith("error:") and "'b'" in err
+    # A finite list bounds the runs of both letters, so a conjugate-image
+    # verdict names a-runs even when every listed word is a b-run.
+    path.write_text("bbbb\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "decide-delay", "a=baa,b=aba", "--scope", f"file:{path}")
+    assert (code, out.strip()) == (0, "synchronizing with finite delay: yes (conjugate images but circular a-runs are bounded in the scope)")
 
 
 def test_sensitivity_csv_and_json(capsys):

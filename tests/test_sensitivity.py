@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -32,6 +33,7 @@ from bwtmorph.sensitivity import (
     wk_word,
 )
 from bwtmorph.words import BINARY, Alphabet, canonical_rotation, necklaces, rle
+from test_primitivity import injective_image_pairs
 
 w = BINARY.word
 TERNARY = Alphabet("abc")
@@ -277,3 +279,28 @@ def test_sturmian_iff_zero_sensitivity_on_fixture_set():
     for m in fixtures:
         zero = all(sensitivity(m, n).as_value == 0 for n in range(2, 13))
         assert zero == is_sturmian(m), m.images
+
+
+# (flat, growing) counts of the injective binary morphisms with |u| + |v| up
+# to each size. The size-5 sweep takes about four times as long as size 4,
+# so it runs only when BWTMORPH_SLOW_TESTS is set.
+THEOREM_COUNTS = {4: (32, 22), 5: (100, 74)}
+SLOW = pytest.mark.skipif(not os.environ.get("BWTMORPH_SLOW_TESTS"), reason="set BWTMORPH_SLOW_TESTS=1 to run")
+
+
+@pytest.mark.parametrize("max_size", [4, pytest.param(5, marks=SLOW)])
+def test_main_theorem_bounded_iff_run_preserving(max_size):
+    # The main theorem: an injective binary morphism has bounded additive
+    # sensitivity iff is_bwt_run_preserving says so. Bounded shows as the
+    # same maximum at n = 16 as at n = 10, unbounded as growth between them.
+    flat = growing = 0
+    for u, v in injective_image_pairs(max_size):
+        m = Morphism((u, v))
+        at_10, at_16 = sensitivity(m, 10).as_value, sensitivity(m, 16).as_value
+        if is_bwt_run_preserving(m):
+            assert at_16 == at_10, (m.images, at_10, at_16)
+            flat += 1
+        else:
+            assert at_16 > at_10, (m.images, at_10, at_16)
+            growing += 1
+    assert (flat, growing) == THEOREM_COUNTS[max_size]
