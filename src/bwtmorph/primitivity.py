@@ -2,9 +2,10 @@
 
 The preservation test is finite: orient the images so the longer one comes
 first, then the only exponent pairs (l, m) that can make u**l v**m a power
-are (2, 1) and (1, m) with m at most (|u| - 4) / |v| + 2. Checking the
-primitivity of those candidates, plus the two images themselves, decides the
-property in time polynomial in the size of the morphism.
+are (2, 1) and (1, m) with m at most (|u| - 4) / |v| + 2. The candidates
+(1, m) are the prefixes of one word, so one prefix-function pass checks them
+all in time linear in the size of the morphism. That scan, `_first_power`,
+is the one analysis that the verdict, power words and Holub form read.
 """
 
 from __future__ import annotations
@@ -14,49 +15,46 @@ from enum import Enum
 from typing import NamedTuple
 
 from .morphisms import Morphism, _require_binary, _require_injective
-from .words import PrimitiveRoot, Word, canonical_rotation, commute, is_primitive, primitive_root, rotations
+from .words import PrimitiveRoot, Word, commute, is_primitive, primitive_root, rotations
 
 
-def _first_power(m: Morphism) -> tuple[tuple[int, int], Word, PrimitiveRoot] | None:
-    """Holub's exponent scan: the first candidate u**l v**j that is a power.
+def _first_power(m: Morphism) -> tuple[tuple[Word, Word], tuple[tuple[int, int], Word, PrimitiveRoot] | None]:
+    """Holub's exponent scan: the oriented images and the first candidate u**l v**j that is a power.
 
-    The images are oriented so that u is the longer (u first on a tie); the
-    pairs are (2, 1), then (1, j) for j up to (|u| - 4) / |v| + 2. A hit is
-    the pair (l, j), the canonical rotation of the source word whose image is
-    the candidate, and the primitive root of that image. None when every
-    candidate is primitive. The morphism must be injective.
+    The morphism must be injective. The images are oriented so that u is the
+    longer (u first on a tie); the pairs are (2, 1), then (1, j) for j up to
+    J = (|u| - 4) / |v| + 2. Each u v**j is the prefix of length
+    L = |u| + j|v| of u v**J, and one prefix-function pass (Knuth, Morris and
+    Pratt) gives every prefix its longest proper border k: the prefix is a
+    power iff k > 0 and L - k, its least period, divides L. A hit is the pair,
+    the canonical rotation of the source word whose image is the candidate,
+    and the primitive root of that image; None when every candidate is primitive.
     """
+    _require_injective(m)
     u, v = m.images
     x, y = 0, 1
     if len(u) < len(v):
         u, v, x, y = v, u, 1, 0
     # The formula can go below 1 for short images; (1, 1) is always checked.
     bound = max(1, (len(u) - 4) // len(v) + 2)
-    for l, j in [(2, 1), *((1, j) for j in range(1, bound + 1))]:
-        if not is_primitive(u * l + v * j):
-            witness = canonical_rotation(bytes([x]) * l + bytes([y]) * j)
-            return (l, j), witness, primitive_root(m.apply(witness))
-    return None
-
-
-class PpVerdict(NamedTuple):
-    preserving: bool
-    witness: Word | None
-
-
-def is_primitivity_preserving(m: Morphism) -> PpVerdict:
-    """Decide whether every primitive word keeps a primitive image.
-
-    On failure the witness is a primitive word whose image is a power:
-    a letter when its own image is a power, otherwise the canonical
-    rotation of the word found by the finite exponent scan.
-    """
-    _require_injective(m)
-    for letter, image in enumerate(m.images):
-        if not is_primitive(image):
-            return PpVerdict(False, bytes([letter]))
-    hit = _first_power(m)
-    return PpVerdict(True, None) if hit is None else PpVerdict(False, hit[1])
+    s = u + v * bound
+    border = [0, 0]  # border[L]: the longest proper border of s[:L]
+    k = 0
+    for c in s[1:]:
+        while k and c != s[k]:
+            k = border[k]
+        if c == s[k]:
+            k += 1
+        border.append(k)
+    ends = range(len(u) + len(v), len(s) + 1, len(v))
+    powers = ((1, j) for j, end in enumerate(ends, 1) if border[end] and end % (end - border[end]) == 0)
+    pair = (2, 1) if not is_primitive(u + u + v) else next(powers, None)
+    if pair is None:
+        return (u, v), None
+    # x**l y**j has two runs, and its least rotation starts at one of them.
+    head, tail = bytes([x]) * pair[0], bytes([y]) * pair[1]
+    witness = min(head + tail, tail + head)
+    return (u, v), (pair, witness, primitive_root(m.apply(witness)))
 
 
 class PowerCase(Enum):
@@ -81,19 +79,14 @@ class PowerWordClassification:
         """The full (finite) set: witness letters plus the rotation class."""
         out = [bytes([c]) for c in self.letter_witnesses]
         if self.rotation_witness is not None:
-            seen = set()
-            for r in rotations(self.rotation_witness):
-                if r not in seen:
-                    seen.add(r)
-                    out.append(r)
+            out.extend(dict.fromkeys(rotations(self.rotation_witness)))  # distinct, in shift order
         return out
 
 
 def power_words(m: Morphism) -> PowerWordClassification:
     """Exact description of the primitive words whose image under m is a power."""
-    _require_injective(m)
+    _, hit = _first_power(m)
     letters = tuple(c for c, image in enumerate(m.images) if not is_primitive(image))
-    hit = _first_power(m)
     if hit is None:
         if not letters:
             case = PowerCase.PRESERVING
@@ -107,6 +100,24 @@ def power_words(m: Morphism) -> PowerWordClassification:
     case = PowerCase.ROTATION_CLASS_PLUS_LETTER if letters else PowerCase.ROTATION_CLASS
     _, witness, (z, k) = hit
     return PowerWordClassification(case, letters, witness, z, k)
+
+
+class PpVerdict(NamedTuple):
+    preserving: bool
+    witness: Word | None
+
+
+def is_primitivity_preserving(m: Morphism) -> PpVerdict:
+    """Decide whether every primitive word keeps a primitive image.
+
+    On failure the witness is a primitive word whose image is a power:
+    a letter when its own image is a power, otherwise the canonical
+    rotation of the word found by the finite exponent scan.
+    """
+    cls = power_words(m)
+    if cls.letter_witnesses:
+        return PpVerdict(False, bytes(cls.letter_witnesses[:1]))
+    return PpVerdict(cls.case is PowerCase.PRESERVING, cls.rotation_witness)
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,9 @@ def _case1(u: Word, v: Word) -> HolubForm | None:
 
 
 def _case2(u: Word, v: Word, n: int) -> HolubForm | None:
+    # u = (pq^n)^m p with p non-empty needs m n |q| < |u|.
     q = v
-    for mm in range(1, len(u) + 1):
+    for mm in range(1, (len(u) - 1) // (n * len(q)) + 1):
         lp = len(u) - mm * n * len(q)
         if lp < mm + 1 or lp % (mm + 1):
             continue
@@ -166,12 +178,12 @@ def _case2(u: Word, v: Word, n: int) -> HolubForm | None:
 
 
 def _case3(u: Word, v: Word, k: int) -> HolubForm | None:
-    # v = q(pq)^m fixes |p| per (m, |q|); then
-    # |u| = n(|pq| + (k-1)|v|) + 2|pq| + (k-2)|v| fixes n.
+    # v = q(pq)^m fixes |p| per (m, |q|), and |p| >= 1 needs (m + 1)|q| <= |v| - m;
+    # then |u| = n(|pq| + (k-1)|v|) + 2|pq| + (k-2)|v| fixes n.
     for mm in range(1, len(v) + 1):
-        for lq in range(1, len(v)):
+        for lq in range(1, (len(v) - mm) // (mm + 1) + 1):
             lp = len(v) - (mm + 1) * lq
-            if lp < mm or lp % mm:
+            if lp % mm:
                 continue
             lp //= mm
             q = v[:lq]
@@ -213,11 +225,9 @@ def classify_holub_form(m: Morphism) -> HolubForm | None:
     None for preserving morphisms and for those whose only failures are
     letter images.
     """
-    _require_injective(m)
-    hit = _first_power(m)
+    (u, v), hit = _first_power(m)
     if hit is None:
         return None
-    u, v = sorted(m.images, key=len, reverse=True)  # the scan's orientation: a stable sort
     (l, j), _, _ = hit
     if (l, j) == (2, 1):
         return _case4(u, v)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .morphisms import Morphism, _require_injective
-from .primitivity import is_primitivity_preserving, is_recognizable, power_words
-from .words import Word, all_circular_factors, circular_factors, rle
+from .primitivity import PowerCase, are_conjugates, power_words
+from .words import Word, all_circular_factors, circular_factors
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,6 @@ def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
     return hi
 
 
-def _longest_circular_runs(w: Word) -> tuple[int, int]:
-    """The longest circular a-run and b-run of w; a constant word is one run.
-
-    Every run of ww lies in a circular run of w, and a word with both
-    letters has each circular run whole in ww.
-    """
-    longest: dict[int, int] = {}
-    for s, count in rle(w + w):
-        longest[s] = max(longest.get(s, 0), min(count, len(w)))
-    return longest.get(0, 0), longest.get(1, 0)
-
-
 def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
     """Dichotomy-based decision, without enumerating factors.
 
@@ -226,11 +214,11 @@ def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
     does iff only finitely many powers of its witness words occur
     circularly in the scope.
     """
-    _require_injective(m)
-    rec = is_recognizable(m)
-    if rec.recognizable:
+    cls = power_words(m)
+    preserving = cls.case is PowerCase.PRESERVING
+    # Recognizable: preserving with non-conjugate images, as in is_recognizable.
+    if preserving and not are_conjugates(*m.images):
         return SyncVerdict(True, "recognizable, so synchronizing with finite delay on every scope")
-    preserving = is_primitivity_preserving(m).preserving
     if isinstance(scope, FiniteList):
         # A finite list bounds the circular runs of both letters, so the
         # conjugate-image verdict names the first one, a.
@@ -244,12 +232,12 @@ def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
             return SyncVerdict(True, f"conjugate images but circular {which}-runs are bounded in the scope")
         return SyncVerdict(False, "conjugate images and both letters have unbounded circular runs")
     bounds = (max_a, max_b)
-    for x in power_words(m).members():
-        if len(x) == 1:
-            unbounded = bounds[x[0]] is None
-        else:
-            # Powers of a mixed word all share its circular run profile.
-            unbounded = all(cap is None or run <= cap for run, cap in zip(_longest_circular_runs(x), bounds))
-        if unbounded:
-            return SyncVerdict(False, "unbounded powers of a power-witness word occur in the scope")
+    witness = cls.rotation_witness
+    # The rotation witness x**l y**j has one circular run of each letter, so
+    # its letter counts are its longest circular runs; its rotations and
+    # powers have the same runs, so it stands for its whole rotation class.
+    if any(bounds[c] is None for c in cls.letter_witnesses) or (
+        witness is not None and all(cap is None or witness.count(c) <= cap for c, cap in enumerate(bounds))
+    ):
+        return SyncVerdict(False, "unbounded powers of a power-witness word occur in the scope")
     return SyncVerdict(True, "every power-witness word exceeds the scope's run bounds")

@@ -1,12 +1,15 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
+from bwtmorph.cli import main
 from bwtmorph.morphisms import FIBONACCI, IDENTITY, PERIOD_DOUBLING, THUE_MORSE, Morphism, compose
 from bwtmorph.primitivity import (
     HolubForm,
     PowerCase,
+    PowerWordClassification,
     are_conjugates,
     check_pp_decomposition,
     classify_holub_form,
@@ -14,7 +17,7 @@ from bwtmorph.primitivity import (
     is_recognizable,
     power_words,
 )
-from bwtmorph.words import BINARY, canonical_rotation, commute, is_primitive, rotations
+from bwtmorph.words import BINARY, canonical_rotation, commute, is_primitive, primitive_root, rotations
 
 w = BINARY.word
 
@@ -193,6 +196,10 @@ def test_classify_holub_form_parametric_families():
         assert form is not None, (u, v)
         assert form.rebuild() == holub_candidates(u, v)[:2]
         assert not commute(form.p, form.q)
+    # A 20 001-letter v of case 3: its exponents are solved from the lengths,
+    # so the match takes about |v| log |v| steps rather than |v|**2.
+    long3 = HolubForm(3, p, q, {"k": 3, "m": 10000, "n": 1})
+    assert classify_holub_form(Morphism(long3.rebuild())) == long3
 
 
 def test_classify_holub_form_rebuild_exhaustive():
@@ -206,6 +213,64 @@ def test_classify_holub_form_rebuild_exhaustive():
             assert form.rebuild() == (big, small)
         else:
             assert form is None
+
+
+def test_readers_equal_the_candidate_loop_exhaustively():
+    # Every injective morphism whose images have at most 6 letters each. The
+    # library finds the first power with one prefix-function pass; the oracle
+    # tests each candidate of Holub's set on its own, and its first hit fixes
+    # what all three readers report.
+    images = [bytes(t) for n in range(1, 7) for t in product((0, 1), repeat=n)]
+    letter_cases = [PowerCase.PRESERVING, PowerCase.ONE_LETTER_POWER, PowerCase.TWO_LETTER_POWERS]
+    # (2, 1) is Holub's case 4, (1, 1) his case 1, and (1, j) with j >= 2 case 2 or 3.
+    holub_cases = {(2, 1): (4,), (1, 1): (1,)}
+    count = 0
+    for u, v in product(images, repeat=2):
+        if u + v == v + u:
+            continue
+        count += 1
+        m = Morphism((u, v))
+        big, small, pairs = holub_candidates(u, v)
+        hit = next(((l, j) for l, j in pairs if not is_primitive(big * l + small * j)), None)
+        letters = tuple(c for c, image in enumerate((u, v)) if not is_primitive(image))
+        cls, verdict, form = power_words(m), is_primitivity_preserving(m), classify_holub_form(m)
+        if hit is None:
+            assert cls == PowerWordClassification(letter_cases[len(letters)], letters, None, None, None), (u, v)
+            assert form is None, (u, v)
+            witness = None
+        else:
+            l, j = hit
+            x, y = (w("b"), w("a")) if len(u) < len(v) else (w("a"), w("b"))
+            witness = canonical_rotation(x * l + y * j)
+            case = PowerCase.ROTATION_CLASS_PLUS_LETTER if letters else PowerCase.ROTATION_CLASS
+            assert cls == PowerWordClassification(case, letters, witness, *primitive_root(m.apply(witness))), (u, v)
+            assert form is not None and form.rebuild() == (big, small), (u, v)
+            assert form.case_index in holub_cases.get(hit, (2, 3)), (u, v)
+        witness = bytes(letters[:1]) if letters else witness
+        assert verdict == (witness is None, witness), (u, v)
+    assert count == 15666
+
+
+def classify_json(capsys, a_image):
+    assert main(["classify", f"a={a_image},b=b", "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classify_on_long_images(capsys):
+    # 20 000-letter first images: a candidate loop that rebuilds each u v**j
+    # would take quadratic time on the first, which scans all 19 998 of them.
+    out = classify_json(capsys, "a" * 19999 + "b")
+    assert (out["primitivity_preserving"], out["pp_witness"], out["power_case"]) == (True, None, "1a")
+    assert (out["holub_form"], out["recognizable"]) == (None, True)
+
+    out = classify_json(capsys, "ab" * 10000)
+    assert (out["primitivity_preserving"], out["pp_witness"], out["power_case"]) == (False, "a", "1b")
+    assert (out["power_letters"], out["power_rotation_witness"], out["holub_form"]) == (["a"], None, None)
+
+    out = classify_json(capsys, "ab" * 9999 + "a")
+    assert (out["primitivity_preserving"], out["pp_witness"], out["power_case"]) == (False, "ab", "2a")
+    assert (out["power_rotation_witness"], out["power_z"], out["power_k"]) == ("ab", "ab", 10000)
+    assert out["holub_form"] == {"case": 1, "exponents": {"m": 1, "n": 0}, "p": "ab" * 4999 + "a", "q": "b"}
 
 
 def test_are_conjugates():

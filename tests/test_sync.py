@@ -324,6 +324,36 @@ def test_decide_sync_finite_delay():
     assert decide_sync_finite_delay(REC, FULL_BINARY).synchronizing
 
 
+DECIDE_DELAY_SCOPES = ["full", "runs:2:inf", "runs:inf:2", "runs:1:1", "file:bbbb"]
+RECOGNIZABLE = "yes (recognizable, so synchronizing with finite delay on every scope)"
+CONJ_A_BOUNDED = "yes (conjugate images but circular a-runs are bounded in the scope)"
+CONJ_B_BOUNDED = "yes (conjugate images but circular b-runs are bounded in the scope)"
+CONJ_UNBOUNDED = "no (conjugate images and both letters have unbounded circular runs)"
+WITNESS_UNBOUNDED = "no (unbounded powers of a power-witness word occur in the scope)"
+WITNESS_BOUNDED = "yes (every power-witness word exceeds the scope's run bounds)"
+FINITE_WITNESS = "yes (finite scope: only finitely many powers of any witness occur)"
+CONJUGATE_TEXTS = [CONJ_UNBOUNDED, CONJ_A_BOUNDED, CONJ_B_BOUNDED, CONJ_A_BOUNDED, CONJ_A_BOUNDED]
+
+
+@pytest.mark.parametrize(
+    "morphism, verdicts",
+    [
+        ("a=baa,b=abb", [RECOGNIZABLE] * 5),
+        ("a=baa,b=aba", CONJUGATE_TEXTS),
+        ("period-doubling", [WITNESS_UNBOUNDED, WITNESS_UNBOUNDED, WITNESS_BOUNDED, WITNESS_BOUNDED, FINITE_WITNESS]),
+        ("a=a,b=bab", [WITNESS_UNBOUNDED] * 4 + [FINITE_WITNESS]),
+        ("thue-morse", CONJUGATE_TEXTS),
+    ],
+)
+def test_decide_delay_text_on_every_scope_kind(capsys, tmp_path, morphism, verdicts):
+    # One case per branch of the dichotomy, crossed with every kind of scope.
+    (tmp_path / "bbbb").write_text("bbbb\n")
+    for scope, verdict in zip(DECIDE_DELAY_SCOPES, verdicts):
+        scope = scope.replace("file:", f"file:{tmp_path}/")
+        assert main(["decide-delay", morphism, "--scope", scope]) == 0
+        assert capsys.readouterr().out == f"synchronizing with finite delay: {verdict}\n", (morphism, scope)
+
+
 def test_full_scope_decision_equals_recognizability():
     for la, lb in product(range(1, 4), repeat=2):
         for ia in product((0, 1), repeat=la):
