@@ -15,9 +15,9 @@ from .words import Word, _require_nonempty
 
 # Above this length, rotation sorting switches from doubled-word slice
 # comparison to cyclic prefix doubling; both orders are identical by
-# construction. The slice keys cost n**2 bytes, and measured on random,
-# Fibonacci and periodic words the slice path stays the faster one up to
-# about 2k symbols; 1024 keeps the slice memory near 1 MB.
+# construction. The slice keys cost n**2 bytes, and on a 2-core x86-64 VM the
+# slice path stays faster up to about 1.6k symbols on random binary words and
+# 1.8k on Fibonacci-$ and periodic ones; 1024 keeps the slice memory near 1 MB.
 _SMALL_SORT_LIMIT = 1024
 
 
@@ -42,47 +42,40 @@ def rotation_order(w: Word) -> list[int]:
 def _rotation_order_doubling(w: Word) -> list[int]:
     """Prefix doubling (Manber and Myers) over the n cyclic positions.
 
-    keys[i] orders rotation i by its first `length` cyclic symbols, and
-    every key is below `base`. The first windows are packed without
-    sorting: keys[i] * base + keys[i + length] is the base-`base` numeral
-    of the first 2*length symbols, so it orders them exactly; packing goes
-    on while base**2 fits in 60 bits (32 symbols of a binary word). Each
-    later round sorts, re-ranks, and packs (rank[i], rank[i + length]) the
-    same way. It stops once all ranks differ, or once length >= n:
-    rotations still tied are then equal, and every round sorts range(n)
-    stably, so they keep ascending shift order.
+    keys[i] orders rotation i by its first `length` cyclic symbols, and every
+    key is below `base`, so keys[i] * base + keys[i + length] orders the first
+    2*length symbols exactly. Before base**2 would pass 60 bits, the keys are
+    re-ranked by the sorted distinct keys, which stay few while rotations are
+    tied, or the loop stops if all keys differ. Positions are sorted once, at
+    the end: rotations still tied are equal, and the stable sort keeps them in
+    ascending shift order.
     """
     n = len(w)
     keys = list(w)
     base = max(w) + 1
     length = 1
-    while length < n and base * base <= 1 << 60:
+    while length < n:
+        if base * base > 1 << 60:
+            distinct = set(keys)
+            if len(distinct) == n:
+                break
+            distinct = sorted(distinct)
+            rank = dict(zip(distinct, range(n)))
+            # Each table goes once read: at most three n-key lists are alive.
+            del distinct
+            keys = list(map(rank.__getitem__, keys))
+            base = len(rank)
+            del rank
         keys = [a * base + b for a, b in zip(keys, keys[length:] + keys[:length])]
         base *= base
         length *= 2
-    while True:
-        order = sorted(range(n), key=keys.__getitem__)
-        if length >= n:
-            return order
-        rank = [0] * n
-        top = prev = -1
-        for i in order:
-            key = keys[i]
-            if key != prev:
-                top += 1
-                prev = key
-            rank[i] = top
-        if top == n - 1:
-            return order
-        base = top + 1
-        keys = [a * base + b for a, b in zip(rank, rank[length:] + rank[:length])]
-        length *= 2
+    return sorted(range(n), key=keys.__getitem__)
 
 
 def bwt(w: Word) -> BwtResult:
     """Last symbols of the sorted rotations, plus the rank of w itself."""
     order = rotation_order(w)
-    transformed = bytes(w[i - 1] for i in order)
+    transformed = bytes(map((w[-1:] + w[:-1]).__getitem__, order))
     return BwtResult(transformed, order.index(0))
 
 
@@ -120,9 +113,9 @@ def run_count(w: Word) -> int:
     |z|, as in `words.primitive_root`, and the first 2|z| symbols of ww are
     zz. Up to the sort cutoff the rotations themselves are sorted and the
     last symbol of each is read: equal rotations are equal strings, so how
-    ties are ordered cannot change the last column. Above it the column is
-    read off the rotation order. The runs of the column are counted by
-    `groupby` without building their (symbol, length) pairs.
+    ties are ordered cannot change the last column. Above it the rotation
+    order of z indexes zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1]. The column's
+    runs are counted by `groupby` without building (symbol, length) pairs.
     """
     _require_nonempty(w)
     doubled = w + w
@@ -132,8 +125,7 @@ def run_count(w: Word) -> int:
         rotations.sort()
         column = [r[-1] for r in rotations]
     else:
-        z = w[:n]
-        column = [z[i - 1] for i in rotation_order(z)]
+        column = bytes(map(doubled[n - 1 : 2 * n - 1].__getitem__, rotation_order(w[:n])))
     return len(list(groupby(column)))
 
 

@@ -9,6 +9,7 @@ is a presentation concern handled by :class:`Alphabet` at the boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Iterator, NamedTuple
 
@@ -42,22 +43,28 @@ class Alphabet:
             raise ValueError("alphabet needs at least one letter")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError(f"duplicate letters in alphabet {self.letters!r}")
+        if len(self.letters) > 256:
+            raise ValueError(f"alphabet of {len(self.letters)} letters is over the 256 symbols a word can hold")
 
     @property
     def size(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def _codes(self) -> dict[int, int]:
+        return {ord(c): i for i, c in enumerate(self.letters)}
+
     def word(self, text: str) -> Word:
-        try:
-            return bytes(self.letters.index(c) for c in text)
-        except ValueError:
+        if not set(text) <= set(self.letters):
             bad = next(c for c in text if c not in self.letters)
-            raise ValueError(f"letter {bad!r} not in alphabet {self.letters!r}") from None
+            raise ValueError(f"letter {bad!r} not in alphabet {self.letters!r}")
+        return bytes(text.translate(self._codes), "latin-1")
 
     def render(self, w: Word) -> str:
-        if any(s >= self.size for s in w):
+        # Deleting the symbols leaves the strays; `letters` maps chr(i) to letter i.
+        if w.translate(None, bytes(range(self.size))):
             raise ValueError(f"symbol outside alphabet {self.letters!r}")
-        return "".join(self.letters[s] for s in w)
+        return w.decode("latin-1").translate(self.letters)
 
 
 BINARY = Alphabet("ab")

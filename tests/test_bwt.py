@@ -87,6 +87,23 @@ def test_doubling_path_matches_small_path():
     # 16, 256 letters: 4), so the packing rounds and the ranked rounds vary.
     words += [bytes(rng.randrange(sigma) for _ in range(rng.randint(1025, 3000))) for sigma in (4, 256) for _ in range(2)]
     words += [bytes([255, 0, 255]) * 400, bytes(range(256)) * 5]
+    # Terminated Fibonacci words keep few distinct keys for many rounds,
+    # so the re-ranking sorts stay small while ties last.
+    fib = fibonacci_dollar(4182)
+    words += [fibonacci_dollar(length) for length in (1025, 1598, 2585)]
+    words += [fib[: n - 1] + b"\x00" for n in (1025, 2000, 4182)]
+    # Over 256 symbols, packing 8 symbols would pass 60 bits, so the keys
+    # are re-ranked once they cover 4 symbols.
+    words += [bytes(rng.randrange(256) for _ in range(2000)), bytes(range(256)) * 8 + b"\x00"]
+    # Powers above the cutoff: equal rotations stay tied to the final sort
+    # and must come out in ascending shift order.
+    long_root = bytes(rng.randint(0, 1) for _ in range(700))
+    words += [b"\x00" * 1100, w("ab") * 600, w("aab") * 700, fib[:1000] * 2, long_root * 3]
+    words += [bytes(rng.randrange(4) for _ in range(300)) * 4]
+    # Lengths next to powers of two, where the last round just reaches n.
+    for k in (10, 11, 12):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            words += [bytes(rng.randint(0, 1) for _ in range(n)), fib[: n - 1] + b"\x00"]
     for word in words:
         expected = slice_order(word)
         assert _rotation_order_doubling(word) == expected

@@ -267,6 +267,16 @@ def test_malformed_morphism_keywords(capsys):
     assert code == 0 and out.startswith("injective: yes")
 
 
+def test_alphabet_over_256_letters_is_an_error(capsys):
+    # A word is bytes, so an alphabet holds at most 256 letters, whether
+    # it is read off the word or declared.
+    letters = "".join(map(chr, range(0x100, 0x100 + 300)))
+    for argv in (("bwt", letters), ("bwt", "ab", "--alphabet", letters), ("inverse-bwt", letters, "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: alphabet of 300 letters is over the 256 symbols a word can hold\n"
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "bwt", "")
     assert code == 1 and "error:" in err

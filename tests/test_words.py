@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtmorph.words import (
     BINARY,
@@ -173,7 +175,35 @@ def test_alphabet_rendering():
     dollar = Alphabet("$ab")
     assert dollar.word("a$b") == bytes([1, 0, 2])
     assert dollar.render(bytes([1, 0, 2])) == "a$b"
-    with pytest.raises(ValueError):
-        dollar.word("xyz")
+    assert (dollar.word(""), dollar.render(b"")) == (b"", "")
+    # The error names the first stray letter in text order, not set order.
+    for text, bad in (("xyz", "x"), ("ab$zy", "z"), ("\x01a", "\x01")):
+        with pytest.raises(ValueError) as exc:
+            dollar.word(text)
+        assert str(exc.value) == f"letter {bad!r} not in alphabet '$ab'"
+    for stray in (bytes([3]), bytes([0, 1, 255, 2])):
+        with pytest.raises(ValueError) as exc:
+            dollar.render(stray)
+        assert str(exc.value) == "symbol outside alphabet '$ab'"
     with pytest.raises(ValueError):
         Alphabet("aa")
+
+
+def test_alphabet_holds_at_most_256_letters():
+    letters = "".join(map(chr, range(0x100, 0x100 + 256)))
+    assert Alphabet(letters).render(bytes(range(256))) == letters
+    with pytest.raises(ValueError, match="257 letters"):
+        Alphabet(letters + "a")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("$é→") | st.characters(), min_size=1, max_size=256, unique=True).map("".join),
+    st.data(),
+)
+def test_alphabet_round_trip(letters, data):
+    alpha = Alphabet(letters)
+    text = "".join(data.draw(st.lists(st.sampled_from(letters), max_size=300)))
+    word = alpha.word(text)
+    assert word == bytes(letters.index(c) for c in text)
+    assert alpha.render(word) == text
