@@ -80,7 +80,11 @@ def bwt(w: Word) -> BwtResult:
 
 
 def inverse_bwt(t: Word, primary_index: int) -> Word:
-    """Invert the transform by walking the last-to-first column mapping."""
+    """Invert the transform by walking the last-to-first column mapping.
+
+    A text that no word has as its transform with this primary index
+    raises ValueError.
+    """
     _require_nonempty(t)
     n = len(t)
     if not 0 <= primary_index < n:
@@ -95,13 +99,23 @@ def inverse_bwt(t: Word, primary_index: int) -> Word:
     for i, c in enumerate(t):
         lf[i] = start[c]
         start[c] += 1
+    # The walk stops when it is back at the primary row. A transform of
+    # w = z**p, z primitive, has a cycle of n / p rows there, its primary
+    # index is a multiple of p, and each of its symbols comes in a block of
+    # p copies (see `bwt_of_power`); the text and index are a transform
+    # exactly when all three hold, and the walk then spells z once.
     out = bytearray()
     row = primary_index
-    for _ in range(n):
+    while True:
         out.append(t[row])
         row = lf[row]
+        if row == primary_index:
+            break
+    p, rest = divmod(n, len(out))
+    if rest or primary_index % p or any(t[j::p] != t[::p] for j in range(1, p)):
+        raise ValueError(f"text is no transform: no word has it with primary index {primary_index}")
     out.reverse()
-    return bytes(out)
+    return bytes(out) * p
 
 
 def run_count(w: Word) -> int:
@@ -112,10 +126,11 @@ def run_count(w: Word) -> int:
     so both have the same runs. The least i >= 1 at which w occurs in ww is
     |z|, as in `words.primitive_root`, and the first 2|z| symbols of ww are
     zz. Up to the sort cutoff the rotations themselves are sorted and the
-    last symbol of each is read: equal rotations are equal strings, so how
-    ties are ordered cannot change the last column. Above it the rotation
-    order of z indexes zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1]. The column's
-    runs are counted by `groupby` without building (symbol, length) pairs.
+    last symbol of each is read, as every n-th symbol of their join: equal
+    rotations are equal strings, so how ties are ordered cannot change the
+    last column. Above it the rotation order of z indexes
+    zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1]. The column's runs are counted by
+    `groupby` without building (symbol, length) pairs.
     """
     _require_nonempty(w)
     doubled = w + w
@@ -123,7 +138,7 @@ def run_count(w: Word) -> int:
     if n <= _SMALL_SORT_LIMIT:
         rotations = [doubled[i : i + n] for i in range(n)]
         rotations.sort()
-        column = [r[-1] for r in rotations]
+        column = b"".join(rotations)[n - 1 :: n]
     else:
         column = bytes(map(doubled[n - 1 : 2 * n - 1].__getitem__, rotation_order(w[:n])))
     return len(list(groupby(column)))

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
+import shutil
 import sys
 from fractions import Fraction
 
@@ -62,7 +64,7 @@ class CliError(ValueError):
 
 
 def _alphabet_for(texts: list[str], declared: str | None) -> Alphabet:
-    if declared:
+    if declared is not None:
         return Alphabet(declared)
     letters = sorted({c for t in texts for c in t})
     if not letters:
@@ -470,19 +472,27 @@ def cmd_reproduce(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bwtmorph", description=__doc__)
+    # Every add_argument and every usage or help text builds a formatter,
+    # which by default asks the terminal for its width each time; read it
+    # once and subtract the 2 columns HelpFormatter itself takes off. The
+    # options all subcommands share are declared once, in parents whose
+    # actions each subcommand copies in after its -h.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog="bwtmorph", description=__doc__, formatter_class=formatter)
     parser.add_argument("--version", action="version", version=f"bwtmorph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    word_options = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+    word_options.add_argument("--json", action="store_true")
+    word_options.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
+    manifest_option = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+    manifest_option.add_argument("--manifest", help="write a reproducibility manifest to this path")
 
     def command(name: str, func, summary: str, *positionals: str, words: bool = True) -> argparse.ArgumentParser:
         """A subcommand with --manifest, and --json and --alphabet when it reads words."""
-        p = sub.add_parser(name, help=summary)
+        parents = [word_options, manifest_option] if words else [manifest_option]
+        p = sub.add_parser(name, help=summary, parents=parents, formatter_class=formatter)
         for dest in positionals:
             p.add_argument(dest)
-        if words:
-            p.add_argument("--json", action="store_true")
-            p.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
-        p.add_argument("--manifest", help="write a reproducibility manifest to this path")
         p.set_defaults(func=func)
         return p
 

@@ -43,7 +43,7 @@ class Morphism:
 
     def apply(self, w: Word) -> Word:
         try:
-            return b"".join(self.images[s] for s in w)
+            return b"".join(map(self.images.__getitem__, w))
         except IndexError:
             raise ValueError(f"word contains a symbol outside the source alphabet of size {self.source_size}") from None
 
@@ -297,7 +297,7 @@ def parse_morphism(text: str, target_letters: str | None = None) -> ParsedMorphi
     """
     if "=" not in text:
         m = named_morphism(text)
-        if not target_letters:
+        if target_letters is None:
             return ParsedMorphism(m, BINARY, BINARY)
         text = format_morphism(m, BINARY, BINARY)
     pairs = []

@@ -187,19 +187,43 @@ def test_inverse_round_trip_random():
 
 
 def test_inverse_walks_the_stable_last_to_first_map():
-    # Any text, transform or not, inverts along the map that numbers equal
-    # symbols in text order; the walk is the same for every alphabet size.
+    # A transform inverts along the map that numbers equal symbols in text
+    # order, and the walk is the same for every alphabet size. Any other
+    # text is rejected: the walk's word has a different transform.
     rng = random.Random(7)
-    for _ in range(300):
+    for trial in range(600):
         n = rng.randint(1, 40)
         text = bytes(rng.choice((0, 1, 2, 5)) for _ in range(n))
         index = rng.randrange(n)
+        if trial % 2:
+            text, index = bwt(text)
         lf = {i: rank for rank, i in enumerate(sorted(range(n), key=lambda i: (text[i], i)))}
         row, out = index, []
         for _ in range(n):
             out.append(text[row])
             row = lf[row]
-        assert inverse_bwt(text, index) == bytes(reversed(out))
+        walked = bytes(reversed(out))
+        if bwt(walked) == (text, index):
+            assert inverse_bwt(text, index) == walked
+        else:
+            assert trial % 2 == 0
+            with pytest.raises(ValueError, match="no transform"):
+                inverse_bwt(text, index)
+
+
+def test_inverse_rejects_exactly_the_texts_that_are_no_transform():
+    for n in range(1, 9):
+        transforms = {}
+        for tup in product((0, 1), repeat=n):
+            transforms[tuple(bwt(bytes(tup)))] = bytes(tup)
+        for tup in product((0, 1), repeat=n):
+            for index in range(n):
+                expected = transforms.get((bytes(tup), index))
+                if expected is None:
+                    with pytest.raises(ValueError, match="no transform"):
+                        inverse_bwt(bytes(tup), index)
+                else:
+                    assert inverse_bwt(bytes(tup), index) == expected
 
 
 def test_power_law_and_power_transform():

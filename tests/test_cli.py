@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 
 import jsonschema
 import pytest
 
+from bwtmorph import __version__, cli
 from bwtmorph.cli import main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "bwtmorph", "schemas")
@@ -45,6 +47,14 @@ def test_inverse_bwt(capsys):
     assert out.strip() == "bcba"
 
 
+def test_inverse_bwt_rejects_a_text_that_is_no_transform(capsys):
+    # bwt(bb) and bwt(aa) both have index 0, so index 1 inverts nothing.
+    for text in ("ab", "aa"):
+        code, out, err = run_cli(capsys, "inverse-bwt", text, "1")
+        assert (code, out) == (1, "")
+        assert err == "error: text is no transform: no word has it with primary index 1\n"
+
+
 def test_apply_and_compose(capsys):
     code, out, _ = run_cli(capsys, "apply", "period-doubling", "aaaab")
     assert (code, out.strip()) == (0, "ababababaa")
@@ -69,6 +79,16 @@ def test_named_morphism_with_declared_alphabet(capsys):
     assert (code, out.strip()) == (0, "aaab")
     code, out, err = run_cli(capsys, "apply", "thue-morse", "ab", "--alphabet", "xy")
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_empty_declared_alphabet_is_an_error(capsys):
+    for argv in (
+        ("bwt", "ab", "--alphabet", ""),
+        ("classify", "thue-morse", "--alphabet", ""),
+        ("apply", "thue-morse", "ab", "--alphabet", ""),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: alphabet needs at least one letter\n"), argv
 
 
 def test_classify_json(capsys):
@@ -295,3 +315,88 @@ def test_error_exit_codes(capsys):
         main(["bwt"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser as first written: one add_argument per shared option and
+    subcommand, and every formatter asking the terminal for its width."""
+    parser = argparse.ArgumentParser(prog="bwtmorph", description=cli.__doc__)
+    parser.add_argument("--version", action="version", version=f"bwtmorph {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, func, summary: str, *positionals: str, words: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for dest in positionals:
+            p.add_argument(dest)
+        if words:
+            p.add_argument("--json", action="store_true")
+            p.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
+        p.add_argument("--manifest", help="write a reproducibility manifest to this path")
+        p.set_defaults(func=func)
+        return p
+
+    command("bwt", cli.cmd_bwt, "transform a word and count runs", "word")
+    p = command("inverse-bwt", cli.cmd_inverse_bwt, "invert a transform", "word")
+    p.add_argument("index", type=int)
+    command("apply", cli.cmd_apply, "apply a morphism to a word", "morphism", "word")
+    command("compose", cli.cmd_compose, "compose two morphisms (outer after inner)", "outer", "inner")
+    command("classify", cli.cmd_classify, "full classification report for a binary morphism", "morphism")
+    command("mu-powers", cli.cmd_mu_powers, "classify the primitive words mapped to powers", "morphism")
+
+    p = command("sync", cli.cmd_sync, "factorizations, sync pairs, and delay for one word", "morphism")
+    p.add_argument("--word", required=True)
+
+    p = command("decide-delay", cli.cmd_decide_delay, "decide synchronization with finite delay on a scope", "morphism")
+    p.add_argument("--scope", required=True, help="full, runs:<a>:<b> (counts or inf), or file:<path>")
+
+    p = command("sensitivity", cli.cmd_sensitivity, "exact additive and multiplicative sensitivity", "morphism")
+    p.add_argument("--n-from", type=int, required=True)
+    p.add_argument("--n-to", type=int, required=True)
+    p.add_argument("--table1", action="store_true", help="list per-word rows like the length-5 table")
+    p.add_argument("--include-constants", action="store_true", help="maximize over constant words too")
+
+    p = command("experiment", cli.cmd_experiment, "growth experiments as CSV", words=False)
+    p.add_argument("kind", choices=("rho", "fib-dollar"))
+    p.add_argument("--p", type=int)
+    p.add_argument("--k", required=True, help="range like 6..12")
+
+    p = command("reproduce", cli.cmd_reproduce, "regenerate a committed reference output and check it", words=False)
+    p.add_argument("target", choices=cli._REPRODUCE)
+
+    return parser
+
+
+SUBCOMMANDS = (
+    "bwt", "inverse-bwt", "apply", "compose", "classify", "mu-powers",
+    "sync", "decide-delay", "sensitivity", "experiment", "reproduce",
+)
+
+
+def exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",)]
+    + [(name, "--help") for name in SUBCOMMANDS]
+    + [
+        ("--version",),
+        ("no-such-command",),
+        ("--bogus",),
+        ("classify", "thue-morse", "--bogus"),
+        ("sync", "thue-morse"),
+        ("reproduce", "table2"),
+        ("experiment", "sqrt", "--k", "6..8"),
+    ],
+    ids=" ".join,
+)
+def test_help_and_usage_match_the_reference_parser(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = exit_and_output(capsys, lambda a: reference_parser().parse_args(a), list(argv))
+    assert exit_and_output(capsys, main, list(argv)) == expected
+    assert expected[1] or expected[2]
