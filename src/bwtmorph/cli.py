@@ -15,6 +15,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 from fractions import Fraction
@@ -471,59 +472,82 @@ def cmd_reproduce(args) -> str:
     return _REPRODUCE[args.target]()
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: name, handler, summary, positionals, whether it reads words
+# (and so takes --json and --alphabet), and its further arguments as
+# (flags, keywords) pairs.
+_COMMANDS = (
+    ("bwt", cmd_bwt, "transform a word and count runs", ("word",), True, ()),
+    ("inverse-bwt", cmd_inverse_bwt, "invert a transform", ("word",), True, ((("index",), {"type": int}),)),
+    ("apply", cmd_apply, "apply a morphism to a word", ("morphism", "word"), True, ()),
+    ("compose", cmd_compose, "compose two morphisms (outer after inner)", ("outer", "inner"), True, ()),
+    ("classify", cmd_classify, "full classification report for a binary morphism", ("morphism",), True, ()),
+    ("mu-powers", cmd_mu_powers, "classify the primitive words mapped to powers", ("morphism",), True, ()),
+    (
+        "sync", cmd_sync, "factorizations, sync pairs, and delay for one word", ("morphism",), True,
+        ((("--word",), {"required": True}),),
+    ),
+    (
+        "decide-delay", cmd_decide_delay, "decide synchronization with finite delay on a scope", ("morphism",), True,
+        ((("--scope",), {"required": True, "help": "full, runs:<a>:<b> (counts or inf), or file:<path>"}),),
+    ),
+    (
+        "sensitivity", cmd_sensitivity, "exact additive and multiplicative sensitivity", ("morphism",), True,
+        (
+            (("--n-from",), {"type": int, "required": True}),
+            (("--n-to",), {"type": int, "required": True}),
+            (("--table1",), {"action": "store_true", "help": "list per-word rows like the length-5 table"}),
+            (("--include-constants",), {"action": "store_true", "help": "maximize over constant words too"}),
+        ),
+    ),
+    (
+        "experiment", cmd_experiment, "growth experiments as CSV", (), False,
+        (
+            (("kind",), {"choices": ("rho", "fib-dollar")}),
+            (("--p",), {"type": int}),
+            (("--k",), {"required": True, "help": "range like 6..12"}),
+        ),
+    ),
+    (
+        "reproduce", cmd_reproduce, "regenerate a committed reference output and check it", (), False,
+        ((("target",), {"choices": _REPRODUCE}),),
+    ),
+)
+
+
+def _add_shared_options(p: argparse.ArgumentParser, words: bool) -> None:
+    """--manifest, after --json and --alphabet when the subcommand reads words."""
+    if words:
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
+    p.add_argument("--manifest", help="write a reproducibility manifest to this path")
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given argv, only the subcommands named in it get arguments.
+
+    Every subcommand is registered, so top-level help, usage and errors list
+    them all. argparse dispatches only to a subcommand whose name is a token
+    of argv, so leaving the others empty cannot change a parse; with no argv
+    every subcommand is filled.
+    """
     # Every add_argument and every usage or help text builds a formatter,
     # which by default asks the terminal for its width each time; read it
-    # once and subtract the 2 columns HelpFormatter itself takes off. The
-    # options all subcommands share are declared once, in parents whose
-    # actions each subcommand copies in after its -h.
+    # once and subtract the 2 columns HelpFormatter itself takes off.
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(prog="bwtmorph", description=__doc__, formatter_class=formatter)
     parser.add_argument("--version", action="version", version=f"bwtmorph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    word_options = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
-    word_options.add_argument("--json", action="store_true")
-    word_options.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
-    manifest_option = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
-    manifest_option.add_argument("--manifest", help="write a reproducibility manifest to this path")
-
-    def command(name: str, func, summary: str, *positionals: str, words: bool = True) -> argparse.ArgumentParser:
-        """A subcommand with --manifest, and --json and --alphabet when it reads words."""
-        parents = [word_options, manifest_option] if words else [manifest_option]
-        p = sub.add_parser(name, help=summary, parents=parents, formatter_class=formatter)
+    named = None if argv is None else set(argv)
+    for name, func, summary, positionals, words, extras in _COMMANDS:
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        if named is not None and name not in named:
+            continue
+        _add_shared_options(p, words)
         for dest in positionals:
             p.add_argument(dest)
+        for flags, keywords in extras:
+            p.add_argument(*flags, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    command("bwt", cmd_bwt, "transform a word and count runs", "word")
-    p = command("inverse-bwt", cmd_inverse_bwt, "invert a transform", "word")
-    p.add_argument("index", type=int)
-    command("apply", cmd_apply, "apply a morphism to a word", "morphism", "word")
-    command("compose", cmd_compose, "compose two morphisms (outer after inner)", "outer", "inner")
-    command("classify", cmd_classify, "full classification report for a binary morphism", "morphism")
-    command("mu-powers", cmd_mu_powers, "classify the primitive words mapped to powers", "morphism")
-
-    p = command("sync", cmd_sync, "factorizations, sync pairs, and delay for one word", "morphism")
-    p.add_argument("--word", required=True)
-
-    p = command("decide-delay", cmd_decide_delay, "decide synchronization with finite delay on a scope", "morphism")
-    p.add_argument("--scope", required=True, help="full, runs:<a>:<b> (counts or inf), or file:<path>")
-
-    p = command("sensitivity", cmd_sensitivity, "exact additive and multiplicative sensitivity", "morphism")
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--table1", action="store_true", help="list per-word rows like the length-5 table")
-    p.add_argument("--include-constants", action="store_true", help="maximize over constant words too")
-
-    p = command("experiment", cmd_experiment, "growth experiments as CSV", words=False)
-    p.add_argument("kind", choices=("rho", "fib-dollar"))
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", required=True, help="range like 6..12")
-
-    p = command("reproduce", cmd_reproduce, "regenerate a committed reference output and check it", words=False)
-    p.add_argument("target", choices=_REPRODUCE)
-
     return parser
 
 
@@ -542,18 +566,31 @@ def _write_manifest(path: str, argv: list[str], alphabet: str | None, inputs: di
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     args.input_digests = {}  # path -> sha256 of each input file the command reads
     try:
         output = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output)
+        # Flush inside the try, so a reader that closed the pipe early
+        # raises here rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe of the signal module's docs: Python flushes stdout again
+        # on exit, so point it at devnull to keep that flush from failing too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     manifest_path = getattr(args, "manifest", None)
     if manifest_path:
-        _write_manifest(manifest_path, argv, getattr(args, "alphabet", None), args.input_digests, output)
+        try:
+            _write_manifest(manifest_path, argv, getattr(args, "alphabet", None), args.input_digests, output)
+        except OSError as exc:
+            print(f"error: cannot write manifest: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -274,4 +274,12 @@ def check_pp_decomposition(outer: Morphism, inner: Morphism) -> bool:
         raise ValueError("alphabet mismatch: inner does not feed outer")
     if not is_primitivity_preserving(inner).preserving:
         return False
-    return all(inner.decode(x) is None for x in power_words(outer).members())
+    # syncing imports this module, so its decoder is imported at call time.
+    from .syncing import circular_factorizations
+
+    cls = power_words(outer)
+    if any(inner.decode(bytes([c])) is not None for c in cls.letter_witnesses):
+        return False
+    # Some rotation of the witness is spelled by p and q iff the witness has
+    # a circular factorization; one pass finds that without listing rotations.
+    return cls.rotation_witness is None or not circular_factorizations(cls.rotation_witness, inner)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -270,6 +272,34 @@ def test_manifest_digests_scope_file_contents(tmp_path, capsys):
     assert digests[0] != digests[1]
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+def test_unwritable_manifest_is_an_error(tmp_path, capsys, target):
+    path = tmp_path / "missing" / "run.json" if target == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "bwt", "ab", "--manifest", str(path))
+    assert (code, out) == (1, "ba (index=0, r=2)\n")
+    assert err.startswith("error: cannot write manifest: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The output, about 220 kB, outgrows the pipe's buffer, so the write
+    # is still blocked when the reader closes its end after one line.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["sensitivity", "period-doubling", "--n-from", "5", "--n-to", "14", "--table1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bwtmorph.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        assert proc.stdout.readline() == b"aaaab baaaa 2 ababababaa babbbaaaaa 4\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (1, b"")
+
+
 def test_malformed_morphism_keywords(capsys):
     for key, form in (
         ("rho:2:junk", "rho:<p>"),
@@ -400,3 +430,34 @@ def test_help_and_usage_match_the_reference_parser(capsys, monkeypatch, columns,
     expected = exit_and_output(capsys, lambda a: reference_parser().parse_args(a), list(argv))
     assert exit_and_output(capsys, main, list(argv)) == expected
     assert expected[1] or expected[2]
+
+
+# One valid argv per subcommand; some values spell another subcommand's name,
+# which must not make the lazily filled parser read them differently.
+VALID_ARGV = [
+    ("bwt", "bwt"),
+    ("bwt", "abaababa", "--json", "--alphabet", "ab"),
+    ("inverse-bwt", "bbbaaaaa", "3", "--manifest", "m.json"),
+    ("apply", "thue-morse", "apply"),
+    ("compose", "sync", "classify"),
+    ("classify", "a=ab,b=ba", "--json"),
+    ("mu-powers", "thue-morse", "--alphabet", "ab"),
+    ("sync", "thue-morse", "--word", "sync"),
+    ("decide-delay", "period-doubling", "--scope", "runs:1:inf", "--json"),
+    ("sensitivity", "thue-morse", "--n-from", "4", "--n-to", "6", "--table1", "--include-constants"),
+    ("experiment", "rho", "--p", "2", "--k", "6..8"),
+    ("reproduce", "table1", "--manifest", "reproduce"),
+    ("experiment", "fib-dollar", "--k", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_parses_match_the_reference_parser(argv):
+    expected = reference_parser().parse_args(list(argv))
+    # The handlers are the same functions, so func compares equal as well.
+    assert cli.build_parser(list(argv)).parse_args(list(argv)) == expected
+    assert cli.build_parser().parse_args(list(argv)) == expected
+
+
+def test_valid_argv_cover_every_subcommand():
+    assert {argv[0] for argv in VALID_ARGV} == set(SUBCOMMANDS)

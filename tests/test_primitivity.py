@@ -324,6 +324,11 @@ def test_check_pp_decomposition_matches_composition():
         inner = Morphism(rng.choice(pairs))
         expected = is_primitivity_preserving(compose(outer, inner)).preserving
         assert check_pp_decomposition(outer, inner) == expected
+    # A long rotation witness, ab^4000, of 4 001 letters.
+    outer = bm("a" + "b" * 4000 + "a", "b")
+    assert len(power_words(outer).rotation_witness) == 4001
+    expected = is_primitivity_preserving(compose(outer, THUE_MORSE)).preserving
+    assert check_pp_decomposition(outer, THUE_MORSE) == expected
 
 
 def test_small_oracle_equivalence():
