@@ -242,7 +242,7 @@ def cmd_sync(args) -> str:
     # A factor at least as long as the delay has a pair by the delay's definition.
     walked = len(by_length) if delay is None else delay
     per_length = [
-        (length, sum(1 for f in factors if length >= walked or find_sync_pairs(f, m, FULL_BINARY)), len(factors))
+        (length, sum(1 for f in factors if length >= walked or find_sync_pairs(f, m)), len(factors))
         for length, factors in enumerate(by_length)
     ]
     if args.json:

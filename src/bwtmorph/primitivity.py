@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .morphisms import Morphism, _require_binary, _require_injective
-from .words import PrimitiveRoot, Word, commute, is_primitive, primitive_root, rotations
+from .words import PrimitiveRoot, Word, commute, is_primitive, primitive_root
 
 
 def _first_power(m: Morphism) -> tuple[tuple[Word, Word], tuple[tuple[int, int], Word, PrimitiveRoot] | None]:
@@ -74,13 +74,6 @@ class PowerWordClassification:
     rotation_witness: Word | None
     z: Word | None
     k: int | None
-
-    def members(self) -> list[Word]:
-        """The full (finite) set: witness letters plus the rotation class."""
-        out = [bytes([c]) for c in self.letter_witnesses]
-        if self.rotation_witness is not None:
-            out.extend(dict.fromkeys(rotations(self.rotation_witness)))  # distinct, in shift order
-        return out
 
 
 def power_words(m: Morphism) -> PowerWordClassification:

@@ -1,10 +1,13 @@
 """Circular factorizations, synchronization pairs, and finite-delay decisions.
 
 A split (u1, u2) of a factor u synchronizes when every way u can occur
-inside the image of a scoped source word forces a codeword boundary exactly
-between u1 and u2. Scopes describe which source words quantify the check:
-an explicit finite list, or the words whose circular single-letter runs
-respect given bounds; with no bound at all that is every binary word.
+inside the image of a binary source word forces a codeword boundary exactly
+between u1 and u2. Pairs and delays quantify over all binary source words.
+Scopes exist only for the finite-delay decision: an explicit finite list, or
+the words whose circular single-letter runs respect given bounds (with no
+bound at all, every binary word). The decision reads the dichotomy and
+searches for no pair; its tests check it against raw enumeration of bounded
+source words.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import NamedTuple
 
 from .morphisms import Morphism, _require_injective
 from .primitivity import PowerCase, are_conjugates, power_words
-from .words import Word, all_circular_factors, circular_factors
+from .words import Word, circular_factors
 
 
 @dataclass(frozen=True)
@@ -84,93 +87,58 @@ def circular_factorizations(w: Word, m: Morphism) -> list[CircularFactorization]
     return found
 
 
-def _interpretation_splits(u: Word, images: tuple[Word, ...], bounds: tuple[int | None, int | None]) -> int:
+def _interpretation_splits(u: Word, images: tuple[Word, ...]) -> int:
     """Bitmask of the splits of u at which every interpretation of u cuts.
 
     An interpretation places u in the image of a source word: a proper suffix
     of a codeword, whole codewords, then a proper prefix of a codeword (each
     part may be absent), or u strictly inside one codeword, which cuts
-    nowhere. Only source words whose linear letter runs stay within bounds
-    (None = unbounded) count; with no interpretation, every split survives.
+    nowhere. Every binary source word counts; with no interpretation, every
+    split survives.
 
-    The walk goes left to right and keeps, per reachable (cut position, last
-    letter, run length), the cuts that every path there shares. A letter
-    without a bound resets the run state, so the unbounded walk has one state
-    per position.
+    The walk goes left to right and keeps, per reachable cut position, the
+    cuts that every path there shares (None while unreached).
     """
     n = len(u)
+    must: list[int | None] = [None] * (n + 1)
 
-    def step(letter: int, last: int | None, run: int) -> tuple[int | None, int] | None:
-        cap = bounds[letter]
-        if cap is None:
-            return (None, 0)
-        run = run + 1 if letter == last else 1
-        return (letter, run) if run <= cap else None
+    def reach(p: int, cuts: int) -> None:
+        old = must[p]
+        must[p] = cuts if old is None else old & cuts
 
-    must: list[dict[tuple[int | None, int], int]] = [{} for _ in range(n + 1)]
-
-    def reach(p: int, state: tuple[int | None, int], cuts: int) -> None:
-        old = must[p].get(state)
-        must[p][state] = cuts if old is None else old & cuts
-
-    reach(0, (None, 0), 1)
-    for letter, img in enumerate(images):
-        state = step(letter, None, 0)
-        if state is None:
-            continue
+    reach(0, 1)
+    for img in images:
         if img.find(u, 1, len(img) - 1) != -1:  # u strictly inside img
             return 0
         # u starts in img, after a cut at p.
         for p in range(1, min(len(img) - 1, n) + 1):
             if img.endswith(u[:p]):
-                reach(p, state, 1 << p)
+                reach(p, 1 << p)
     survivors = (1 << (n + 1)) - 1
-    for p in range(n + 1):
-        for (last, run), cuts in must[p].items():
-            if p == n:
+    for p, cuts in enumerate(must):
+        if cuts is None:
+            continue
+        if p == n:
+            survivors &= cuts
+        for img in images:
+            if u.startswith(img, p):
+                q = p + len(img)
+                reach(q, cuts | 1 << q)
+            elif p < n and len(img) > n - p and img.startswith(u[p:]):  # u ends inside img
                 survivors &= cuts
-            for letter, img in enumerate(images):
-                state = step(letter, last, run)
-                if state is None:
-                    continue
-                if u.startswith(img, p):
-                    q = p + len(img)
-                    reach(q, state, cuts | 1 << q)
-                elif p < n and len(img) > n - p and img.startswith(u[p:]):  # u ends inside img
-                    survivors &= cuts
         if not survivors:
             return 0
     return survivors
 
 
-def _finite_scope_splits(u: Word, m: Morphism, words: tuple[Word, ...]) -> int:
-    """Bitmask of the splits of u that every occurrence of u cuts at, in the
-    images of the circular factors of the listed words."""
-    survivors = (1 << (len(u) + 1)) - 1
-    for f in set().union(*map(all_circular_factors, words)):
-        image = m.apply(f)
-        cuts = pos = 1
-        for s in f:
-            pos <<= len(m.images[s])
-            cuts |= pos
-        start = image.find(u)
-        while start != -1 and survivors:
-            survivors &= cuts >> start
-            start = image.find(u, start + 1)
-    return survivors
+def find_sync_pairs(factor: Word, m: Morphism) -> list[SyncPair]:
+    """All synchronizing splits of factor over all binary source words.
 
-
-def find_sync_pairs(factor: Word, m: Morphism, scope: Scope) -> list[SyncPair]:
-    """All synchronizing splits of factor over the scoped source words.
-
-    Infinite scopes are decided over the interpretations of factor, in time
-    polynomial in |factor|; a finite scope is scanned word by word.
+    They are decided over the interpretations of factor, in time polynomial
+    in |factor|.
     """
     _require_injective(m)
-    if isinstance(scope, FiniteList):
-        survivors = _finite_scope_splits(factor, m, scope.words)
-    else:
-        survivors = _interpretation_splits(factor, m.images, (scope.max_a, scope.max_b))
+    survivors = _interpretation_splits(factor, m.images)
     return [SyncPair(factor, s) for s in range(len(factor) + 1) if survivors >> s & 1]
 
 
@@ -192,7 +160,7 @@ def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
     image = m.apply(w)
 
     def all_paired(length: int) -> bool:
-        return all(_interpretation_splits(f, m.images, (None, None)) for f in circular_factors(image, length))
+        return all(_interpretation_splits(f, m.images) for f in circular_factors(image, length))
 
     lo, hi = 0, 1  # no length up to lo works
     while not all_paired(hi):

@@ -241,12 +241,8 @@ def test_criterion_09_synchronization(capsys):
         image = THUE_MORSE.apply(w("abbaab"))
         assert BINARY.render(image) == "abbabaababba"
         assert sync_delay_for_word(THUE_MORSE, w("abbaab")) == 5
-        assert all(
-            find_sync_pairs(f, THUE_MORSE, FULL_BINARY) for f in circular_factors(image, 5)
-        )
-        assert any(
-            not find_sync_pairs(f, THUE_MORSE, FULL_BINARY) for f in circular_factors(image, 4)
-        )
+        assert all(find_sync_pairs(f, THUE_MORSE) for f in circular_factors(image, 5))
+        assert any(not find_sync_pairs(f, THUE_MORSE) for f in circular_factors(image, 4))
         assert decide_sync_finite_delay(THUE_MORSE, BoundedLetterRuns(2, 2)).synchronizing
         full = decide_sync_finite_delay(THUE_MORSE, FULL_BINARY).synchronizing
         assert full is False

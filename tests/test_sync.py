@@ -1,5 +1,6 @@
 import json
 import random
+from collections import defaultdict
 from itertools import groupby, product
 
 import pytest
@@ -20,6 +21,8 @@ from bwtmorph.syncing import (
 )
 from bwtmorph.words import BINARY, all_circular_factors, canonical_rotation, circular_factors, necklaces
 from test_acceptance import budget
+from test_primitivity import injective_image_pairs
+from test_sensitivity import SLOW
 
 w = BINARY.word
 
@@ -76,23 +79,26 @@ def brute_split_classes(factor, contexts):
     return classes
 
 
+def within(runs, max_a, max_b):
+    return all(cap is None or run <= cap for run, cap in zip(runs, (max_a, max_b)))
+
+
 def within_bounds(classes, factor, max_a=None, max_b=None):
     allowed = set(range(len(factor) + 1))
-    for (run_a, run_b), splits in classes.items():
-        if (max_a is None or run_a <= max_a) and (max_b is None or run_b <= max_b):
+    for runs, splits in classes.items():
+        if within(runs, max_a, max_b):
             allowed &= splits
     return allowed
 
 
-def brute_splits(factor, m, max_source_len, max_a=None, max_b=None):
-    """Surviving splits by raw enumeration of the source words up to a length
-    whose linear letter runs stay within the bounds."""
+def brute_splits(factor, m, max_source_len):
+    """Surviving splits by raw enumeration of the source words up to a length."""
     contexts = source_contexts(m, binary_words(max_source_len))
-    return within_bounds(brute_split_classes(factor, contexts), factor, max_a, max_b)
+    return within_bounds(brute_split_classes(factor, contexts), factor)
 
 
-def splits(factor, m, scope):
-    return {pair.split for pair in find_sync_pairs(factor, m, scope)}
+def splits(factor, m):
+    return {pair.split for pair in find_sync_pairs(factor, m)}
 
 
 def test_circular_factorization_counts():
@@ -132,29 +138,27 @@ def test_factorizations_spell_the_rotation():
 
 
 def test_sync_pairs_at_double_letters():
-    assert find_sync_pairs(w("bb"), THUE_MORSE, FULL_BINARY) == [(w("bb"), 1)]
-    assert find_sync_pairs(w("aa"), THUE_MORSE, FULL_BINARY) == [(w("aa"), 1)]
+    assert find_sync_pairs(w("bb"), THUE_MORSE) == [(w("bb"), 1)]
+    assert find_sync_pairs(w("aa"), THUE_MORSE) == [(w("aa"), 1)]
     # Purely alternating factors never pin a boundary.
     for k in (1, 2, 3):
-        assert find_sync_pairs(w("ab") * k, THUE_MORSE, FULL_BINARY) == []
+        assert find_sync_pairs(w("ab") * k, THUE_MORSE) == []
 
 
 def test_sync_pairs_match_brute_enumeration():
     # Source words of length 9 and 7 go well past the |factor| + 2 that
     # realizes every interpretation.
     for factor in [w("bb"), w("aa"), w("abab"), w("abba"), w("aab"), w("babab")]:
-        fast = {pair.split for pair in find_sync_pairs(factor, THUE_MORSE, FULL_BINARY)}
+        fast = {pair.split for pair in find_sync_pairs(factor, THUE_MORSE)}
         assert fast == brute_splits(factor, THUE_MORSE, 9), factor
     for factor in [w("aab"), w("baa"), w("aabaa"), w("bba")]:
-        fast = {pair.split for pair in find_sync_pairs(factor, REC, FULL_BINARY)}
+        fast = {pair.split for pair in find_sync_pairs(factor, REC)}
         assert fast == brute_splits(factor, REC, 7), factor
 
 
 def test_interpretations_match_the_enumerator_exhaustively():
     # Every injective morphism with images of length <= 3, every factor of
-    # length <= 4, on the full scope and on every pair of run bounds.
-    bounds = (0, 1, 2, None)
-    scopes = [(FULL_BINARY, None, None)] + [(BoundedLetterRuns(a, b), a, b) for a in bounds for b in bounds]
+    # length <= 4.
     for u, v in product([f for f in binary_words(3) if f], repeat=2):
         if u + v == v + u:
             continue
@@ -163,44 +167,19 @@ def test_interpretations_match_the_enumerator_exhaustively():
         for factor in binary_words(4):
             # The source words of length <= |factor| + 2 come first.
             classes = brute_split_classes(factor, contexts[: 2 ** (len(factor) + 3) - 1])
-            for scope, max_a, max_b in scopes:
-                expected = within_bounds(classes, factor, max_a, max_b)
-                assert splits(factor, m, scope) == expected, (u, v, factor, scope)
+            assert splits(factor, m) == within_bounds(classes, factor), (u, v, factor)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=4).map(bytes), min_size=2, max_size=2),
     st.lists(st.integers(0, 1), max_size=5).map(bytes),
-    st.sampled_from((0, 1, 2, 3, None)),
-    st.sampled_from((0, 1, 2, 3, None)),
 )
-def test_interpretation_splits_equal_the_oracle(images, factor, max_a, max_b):
+def test_interpretation_splits_equal_the_oracle(images, factor):
     u, v = images
     assume(u + v != v + u)
     m = Morphism((u, v))
-    oracle = brute_splits(factor, m, len(factor) + 2, max_a, max_b)
-    assert splits(factor, m, BoundedLetterRuns(max_a, max_b)) == oracle
-    if max_a is None and max_b is None:
-        assert splits(factor, m, FULL_BINARY) == oracle
-
-
-def test_finite_scope_scans_the_circular_factors():
-    words = (w("aab"), w("abbab"))
-    sources = set().union(*map(all_circular_factors, words))
-    for m in (THUE_MORSE, REC, bm("a", "ab")):
-        contexts = source_contexts(m, sources)
-        for factor in binary_words(4):
-            expected = within_bounds(brute_split_classes(factor, contexts), factor)
-            assert splits(factor, m, FiniteList(words)) == expected, (m.images, factor)
-
-
-def test_sync_pairs_finite_scope():
-    scope = FiniteList((w("aab"),))
-    assert [p.split for p in find_sync_pairs(w("bb"), THUE_MORSE, scope)] == [1]
-    # Within a single-word scope the alternating factor is pinned, because
-    # the conflicting all-b context never occurs there.
-    assert find_sync_pairs(w("abab"), THUE_MORSE, scope) != []
+    assert splits(factor, m) == brute_splits(factor, m, len(factor) + 2)
 
 
 def test_sync_delay_for_word():
@@ -214,7 +193,7 @@ def top_down_delay(m, word):
     longest one with a circular factor that has no pair."""
     image = m.apply(word)
     for length in range(len(image), -1, -1):
-        if not all(find_sync_pairs(f, m, FULL_BINARY) for f in circular_factors(image, length)):
+        if not all(find_sync_pairs(f, m) for f in circular_factors(image, length)):
             return None if length == len(image) else length + 1
     return 1
 
@@ -290,14 +269,8 @@ def test_sync_delay_monotone_at_the_threshold():
     delay = sync_delay_for_word(THUE_MORSE, word)
     image = THUE_MORSE.apply(word)
     factors = all_circular_factors(image)
-    assert all(
-        find_sync_pairs(f, THUE_MORSE, FULL_BINARY) for f in factors if len(f) >= delay
-    )
-    assert any(
-        not find_sync_pairs(f, THUE_MORSE, FULL_BINARY)
-        for f in factors
-        if len(f) == delay - 1
-    )
+    assert all(find_sync_pairs(f, THUE_MORSE) for f in factors if len(f) >= delay)
+    assert any(not find_sync_pairs(f, THUE_MORSE) for f in factors if len(f) == delay - 1)
 
 
 def test_sync_delay_absent_when_a_rotation_never_synchronizes():
@@ -322,6 +295,49 @@ def test_decide_sync_finite_delay():
     # Mixed rotation-class witness: powers of ab fit any scope with runs >= 1.
     assert not decide_sync_finite_delay(bm("a", "bab"), BoundedLetterRuns(1, 1)).synchronizing
     assert decide_sync_finite_delay(REC, FULL_BINARY).synchronizing
+
+
+# Run bounds of the decision check below. A bound of 3 would need longer
+# factors: (a, bbb) maps a b-run of 3 to an image b-run of 9.
+RUN_BOUNDS = (1, 2, None)
+
+
+def factor_split_classes(m, length):
+    """Per factor of the given length in the image of a source word of length
+    at most length + 2, its split classes over the source words whose images
+    contain it. Those source words realize every occurrence and every
+    interpretation of a factor of that length."""
+    holders = defaultdict(list)
+    for context in source_contexts(m, binary_words(length + 2)):
+        image = context[0]
+        for factor in {image[i : i + length] for i in range(len(image) - length + 1)}:
+            holders[factor].append(context)
+    return {factor: brute_split_classes(factor, held) for factor, held in holders.items()}
+
+
+@pytest.mark.parametrize("max_size, length, cases", [(4, 8, 486), pytest.param(5, 9, 1566, marks=SLOW)])
+def test_decide_delay_matches_the_bounded_enumerator(max_size, length, cases):
+    # Every injective morphism up to a size, on every pair of run bounds.
+    # A pair of a factor is a pair of every factor that extends it, within a
+    # scope too, so every scoped factor of one length keeping a split proves
+    # finite delay; a scoped factor without one is what "no" must show at
+    # that length. With bounds of at least 1, the linear factors of the
+    # scoped words are exactly the words whose linear runs respect the
+    # bounds, which is how brute_split_classes groups its source words.
+    checked = 0
+    for u, v in injective_image_pairs(max_size):
+        m = Morphism((u, v))
+        classes = factor_split_classes(m, length)
+        for max_a, max_b in product(RUN_BOUNDS, repeat=2):
+            paired = all(
+                within_bounds(by_runs, factor, max_a, max_b)
+                for factor, by_runs in classes.items()
+                if any(within(runs, max_a, max_b) for runs in by_runs)
+            )
+            verdict = decide_sync_finite_delay(m, BoundedLetterRuns(max_a, max_b))
+            assert verdict.synchronizing == paired, (u, v, max_a, max_b)
+            checked += 1
+    assert checked == cases
 
 
 DECIDE_DELAY_SCOPES = ["full", "runs:2:inf", "runs:inf:2", "runs:1:1", "file:bbbb"]
