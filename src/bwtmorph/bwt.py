@@ -101,9 +101,9 @@ def inverse_bwt(t: Word, primary_index: int) -> Word:
         start[c] += 1
     # The walk stops when it is back at the primary row. A transform of
     # w = z**p, z primitive, has a cycle of n / p rows there, its primary
-    # index is a multiple of p, and each of its symbols comes in a block of
-    # p copies (see `bwt_of_power`); the text and index are a transform
-    # exactly when all three hold, and the walk then spells z once.
+    # index is p times that of z, so a multiple of p, and it is bwt(z) with
+    # each symbol repeated p times in one block; the text and index are a
+    # transform exactly when all three hold, and the walk then spells z once.
     out = bytearray()
     row = primary_index
     while True:
@@ -122,8 +122,9 @@ def run_count(w: Word) -> int:
     """Number of equal-letter runs of the transform of w.
 
     Only the rotations of the primitive root z of w = z**p are sorted:
-    bwt(z**p) repeats each symbol of bwt(z) p times (see `bwt_of_power`),
-    so both have the same runs. The least i >= 1 at which w occurs in ww is
+    bwt(z**p) repeats each symbol of bwt(z) p times in one block, since the
+    p copies of each rotation of z are adjacent in the sorted order, so both
+    have the same runs. The least i >= 1 at which w occurs in ww is
     |z|, as in `words.primitive_root`, and the first 2|z| symbols of ww are
     zz. Up to the sort cutoff the rotations themselves are sorted and the
     last symbol of each is read, as every n-th symbol of their join: equal
@@ -142,16 +143,3 @@ def run_count(w: Word) -> int:
     else:
         column = bytes(map(doubled[n - 1 : 2 * n - 1].__getitem__, rotation_order(w[:n])))
     return len(list(groupby(column)))
-
-
-def bwt_of_power(z: Word, p: int) -> BwtResult:
-    """Transform of z**p computed from the transform of z.
-
-    Each symbol of bwt(z) expands to a block of p copies, and the rank of
-    the input grows p-fold; no rotation of z**p is ever sorted.
-    """
-    if p < 1:
-        raise ValueError("exponent must be positive")
-    base = bwt(z)
-    expanded = b"".join(bytes([s]) * p for s in base.transformed)
-    return BwtResult(expanded, base.primary_index * p)

@@ -337,6 +337,7 @@ def _table1_rows(parsed: ParsedMorphism, n: int) -> list[tuple]:
 
 
 def cmd_sensitivity(args) -> str:
+    _require(not (args.table1 and args.json), "--table1 and --json cannot be combined")
     parsed = parse_morphism(args.morphism, args.alphabet)
     _require(args.n_from >= 2, "sensitivity starts at n=2")
     _require(args.n_to >= args.n_from, "--n-to must be at least --n-from")
@@ -402,6 +403,7 @@ def cmd_experiment(args) -> str:
         _require(args.p is not None and args.p > 1, "rho experiment needs --p greater than 1")
         table = rho_experiment(args.p, ks)
     else:
+        _require(args.p is None, "fib-dollar experiment takes no --p")
         table = fibonacci_dollar_experiment(ks)
     return _experiment_csv(table)
 

@@ -168,7 +168,6 @@ PHI = FIBONACCI
 PHI_E = Morphism((_binary("a"), _binary("ab")))
 PHI_TILDE = FIBONACCI_TILDE
 PHI_TILDE_E = Morphism((_binary("a"), _binary("ba")))
-ELEMENTARY = (PHI, PHI_E, PHI_TILDE, PHI_TILDE_E)
 
 
 def rho(p: int) -> Morphism:
@@ -185,11 +184,6 @@ def thue_morse_like(p: int, q: int) -> Morphism:
     return Morphism((b"\x00" + b"\x01" * p, b"\x01" + b"\x00" * q))
 
 
-class PeelStep(NamedTuple):
-    outer: Morphism
-    elementary: Morphism
-
-
 def _elementary_peels(u: Word, v: Word) -> Iterator[tuple[Morphism, tuple[Word, Word]]]:
     # A strict prefix/suffix relation between the images pins down which
     # elementary factor can be split off and what the outer images must be.
@@ -201,20 +195,6 @@ def _elementary_peels(u: Word, v: Word) -> Iterator[tuple[Morphism, tuple[Word, 
         yield PHI_TILDE, (v, u[: len(u) - len(v)])
     if len(u) < len(v) and v.endswith(u):
         yield PHI_TILDE_E, (u, v[: len(v) - len(u)])
-
-
-def peel_elementary(m: Morphism) -> PeelStep | None:
-    """Split m as outer composed with one elementary morphism, if possible.
-
-    The candidates are tried in the fixed order PHI, PHI_E, PHI_TILDE,
-    PHI_TILDE_E and the first match is returned; None exactly when m is
-    bifix, where no image is a prefix or suffix of the other.
-    """
-    _require_injective(m)
-    u, v = m.images
-    for elementary, psi_images in _elementary_peels(u, v):
-        return PeelStep(Morphism(psi_images, m.target_size), elementary)
-    return None
 
 
 def is_sturmian(m: Morphism) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .morphisms import Morphism, _require_binary, _require_injective
+from .morphisms import Morphism, _require_injective
 from .words import PrimitiveRoot, Word, commute, is_primitive, primitive_root
 
 
@@ -254,25 +254,3 @@ def is_recognizable(m: Morphism) -> RecognizabilityVerdict:
     if are_conjugates(*m.images):
         return RecognizabilityVerdict(False, "conjugate images")
     return RecognizabilityVerdict(True, "primitivity-preserving with non-conjugate images")
-
-
-def check_pp_decomposition(outer: Morphism, inner: Morphism) -> bool:
-    """Decide preservation of outer composed with inner without composing.
-
-    Requires inner = (p, q) preserving, and no word mapped to a power by
-    outer may be spellable from p and q.
-    """
-    _require_binary(inner)
-    if inner.target_size > outer.source_size:
-        raise ValueError("alphabet mismatch: inner does not feed outer")
-    if not is_primitivity_preserving(inner).preserving:
-        return False
-    # syncing imports this module, so its decoder is imported at call time.
-    from .syncing import circular_factorizations
-
-    cls = power_words(outer)
-    if any(inner.decode(bytes([c])) is not None for c in cls.letter_witnesses):
-        return False
-    # Some rotation of the witness is spelled by p and q iff the witness has
-    # a circular factorization; one pass finds that without listing rotations.
-    return cls.rotation_witness is None or not circular_factorizations(cls.rotation_witness, inner)

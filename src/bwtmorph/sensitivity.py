@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 from .bwt import run_count
 from .morphisms import Morphism, is_cyclic, rho
 from .primitivity import is_primitivity_preserving
-from .words import EmptyWordError, Word, constant_words, necklaces, rle
+from .words import EmptyWordError, Word, constant_words, necklaces
 
 
 class SensitivityRow(NamedTuple):
@@ -79,20 +79,6 @@ def sensitivity(m: Morphism, n: int, include_constant_words: bool = False) -> Se
     if best_add is None:
         raise ValueError(f"no qualifying words of length {n}")
     return SensitivityRow(n, best_add, Fraction(num, den), add_witness, mul_witness)
-
-
-def cyclic_sensitivity_constants(m: Morphism) -> tuple[int, Fraction]:
-    """(r(z) - 2, r(z) / 2) for the common primitive root z of a cyclic morphism.
-
-    These equal the length-independent sensitivity maxima whenever
-    r(z) >= 2; for r(z) = 1 the formula undershoots, since the minimum
-    run count over non-constant words is 2.
-    """
-    z = is_cyclic(m)
-    if z is None:
-        raise ValueError("sensitivity constants require a cyclic morphism")
-    r = run_count(z)
-    return r - 2, Fraction(r, 2)
 
 
 def is_bwt_run_preserving(m: Morphism) -> bool:
@@ -171,37 +157,3 @@ def fibonacci_dollar_experiment(ks: Iterable[int]) -> ExperimentTable:
         after = run_count(upper)
         rows.append((k, before, after, Fraction(after, before)))
     return ExperimentTable(("k", "r_even", "r_odd", "ratio"), tuple(rows))
-
-
-def _distinct_bounded_b_runs(w: Word) -> set[int]:
-    # Distinct lengths i of circular b-runs, each flanked by a's; valid for
-    # words with at least two a's and one b.
-    first_a = w.index(0)
-    rotated = w[first_a:] + w[:first_a]
-    return {count for s, count in rle(rotated) if s == 1}
-
-
-def rho_ms_bound_check(p: int, max_n: int) -> bool:
-    """Exhaustively verify the run-growth bounds for the b -> b**p morphism.
-
-    Over every necklace up to max_n with at least two a's and one b:
-    the additive delta is at most twice the run count before, the ratio is
-    at most 3, and the run count after is bounded by the one before plus
-    twice the number of distinct circular a b^i a factors.
-    """
-    if p <= 1:
-        raise ValueError("exponent must exceed 1")
-    m = rho(p)
-    for n in range(3, max_n + 1):
-        for w in necklaces(2, n):
-            if w.count(0) < 2 or w.count(1) < 1:
-                continue
-            before = run_count(w)
-            after = run_count(m.apply(w))
-            if after - before > 2 * before:
-                return False
-            if Fraction(after, before) > 3:
-                return False
-            if after > before + 2 * len(_distinct_bounded_b_runs(w)):
-                return False
-    return True

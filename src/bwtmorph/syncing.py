@@ -36,6 +36,10 @@ class BoundedLetterRuns:
     max_a: int | None
     max_b: int | None
 
+    def __post_init__(self) -> None:
+        if self.max_a == 0 and self.max_b == 0:
+            raise ValueError("run bounds 0 and 0 admit no non-empty word")
+
 
 Scope = FiniteList | BoundedLetterRuns
 

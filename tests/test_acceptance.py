@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from bwtmorph import fixtures
-from bwtmorph.bwt import bwt, bwt_of_power, inverse_bwt, run_count
+from bwtmorph.bwt import bwt, inverse_bwt, run_count
 from bwtmorph.cli import main
 from bwtmorph.morphisms import (
     EXCHANGE,
@@ -31,10 +31,8 @@ from bwtmorph.primitivity import (
     power_words,
 )
 from bwtmorph.sensitivity import (
-    cyclic_sensitivity_constants,
     delta_plus,
     fibonacci_dollar_experiment,
-    rho_ms_bound_check,
     sensitivity,
     wk_word,
 )
@@ -47,6 +45,8 @@ from bwtmorph.syncing import (
     sync_delay_for_word,
 )
 from bwtmorph.words import BINARY, Alphabet, circular_factors, is_primitive, rotations
+from test_bwt import bwt_of_power
+from test_sensitivity import cyclic_sensitivity_constants, rho_ms_bound_check
 
 w = BINARY.word
 

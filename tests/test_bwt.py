@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from bwtmorph.bwt import (
     _SMALL_SORT_LIMIT,
+    BwtResult,
     _rotation_order_doubling,
     bwt,
-    bwt_of_power,
     inverse_bwt,
     rotation_order,
     run_count,
@@ -31,6 +31,17 @@ def brute_bwt(word):
     # The last symbols of the explicitly sorted rotations spell the transform.
     order = slice_order(word)
     return bytes(word[i - 1] for i in order), order.index(0)
+
+
+def bwt_of_power(z, p):
+    """Transform of z**p from the transform of z, without sorting z**p.
+
+    Each symbol of bwt(z) expands to a block of p copies, and the rank of
+    the input grows p-fold.
+    """
+    base = bwt(z)
+    expanded = b"".join(bytes([s]) * p for s in base.transformed)
+    return BwtResult(expanded, base.primary_index * p)
 
 
 def test_known_transforms():

@@ -142,6 +142,9 @@ def test_decide_delay_rejects_bad_run_bounds(capsys):
         code, out, err = run_cli(capsys, "decide-delay", "thue-morse", "--scope", scope)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "runs:<a>:<b>" in err
+    # No non-empty word has no runs of either letter.
+    code, out, err = run_cli(capsys, "decide-delay", "thue-morse", "--scope", "runs:0:0")
+    assert (code, out) == (1, "") and err.startswith("error:") and "no non-empty word" in err
     code, out, _ = run_cli(capsys, "decide-delay", "thue-morse", "--scope", "runs:0:inf")
     assert code == 0 and out.startswith("synchronizing with finite delay: yes")
 
@@ -197,6 +200,13 @@ def test_sensitivity_table_mode(capsys):
     assert code == 0 and lines[:6] == reproduced.split("\n")[:6]
 
 
+def test_sensitivity_table_mode_has_no_json(capsys):
+    argv = ("sensitivity", "period-doubling", "--n-from", "3", "--n-to", "3", "--table1", "--json")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--table1" in err and "--json" in err
+
+
 def test_experiments(capsys):
     code, out, _ = run_cli(capsys, "experiment", "rho", "--p", "2", "--k", "6..8")
     lines = out.strip().split("\n")
@@ -221,6 +231,9 @@ def test_experiment_rejects_bad_k(capsys):
         assert err.startswith("error:") and "--k" in err, argv
     code, out, err = run_cli(capsys, "experiment", "fib-dollar", "--k", "-1")
     assert (code, out) == (1, "") and err.startswith("error:")
+    # --p belongs to rho; fib-dollar has no exponent to take.
+    code, out, err = run_cli(capsys, "experiment", "fib-dollar", "--p", "3", "--k", "1")
+    assert (code, out) == (1, "") and err.startswith("error:") and "--p" in err
 
 
 def test_reproduce_targets(capsys):

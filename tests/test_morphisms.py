@@ -1,12 +1,12 @@
 import random
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtmorph.morphisms import (
-    ELEMENTARY,
     EXCHANGE,
     FIBONACCI,
     FIBONACCI_TILDE,
@@ -31,7 +31,6 @@ from bwtmorph.morphisms import (
     is_sturmian,
     named_morphism,
     parse_morphism,
-    peel_elementary,
     rho,
     thue_morse_like,
 )
@@ -42,6 +41,23 @@ w = BINARY.word
 
 def bm(a_img, b_img):
     return Morphism((w(a_img), w(b_img)))
+
+
+class PeelStep(NamedTuple):
+    outer: Morphism
+    elementary: Morphism
+
+
+def peel_elementary(m):
+    """Split m as outer composed with one elementary morphism, if possible.
+
+    The candidates are tried in the fixed order PHI, PHI_E, PHI_TILDE,
+    PHI_TILDE_E and the first match is returned; None exactly when m is
+    bifix, where no image is a prefix or suffix of the other.
+    """
+    for elementary, psi_images in _elementary_peels(*m.images):
+        return PeelStep(Morphism(psi_images, m.target_size), elementary)
+    return None
 
 
 def test_construction_rejects_erasing():
@@ -180,7 +196,7 @@ def test_peel_round_trip_and_bifix_link():
                 if step is None:
                     assert bifix_status(m) == BifixStatus.BIFIX
                 else:
-                    assert step.elementary in ELEMENTARY
+                    assert step.elementary in (PHI, PHI_E, PHI_TILDE, PHI_TILDE_E)
                     assert compose(step.outer, step.elementary) == m
 
 

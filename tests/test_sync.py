@@ -128,6 +128,43 @@ def test_circular_factorizations_of_a_long_image():
     assert facts == [(1, tuple(source[1:] + source[:1]))]
 
 
+def brute_circular_factorizations(word, m):
+    """Every parse of every rotation, grouped by its cut set modulo |word|;
+    each group is reported from its least cut."""
+    n = len(word)
+
+    def parses(rest):
+        if not rest:
+            yield ()
+        for c, image in enumerate(m.images):
+            if rest.startswith(image):
+                for tail in parses(rest[len(image):]):
+                    yield (c,) + tail
+
+    groups = {}
+    for offset in range(n):
+        for seq in parses(word[offset:] + word[:offset]):
+            cuts, pos = set(), offset
+            for c in seq:
+                cuts.add(pos % n)
+                pos += len(m.images[c])
+            groups.setdefault(frozenset(cuts), []).append((offset, seq))
+    return sorted(min(group) for group in groups.values())
+
+
+def test_circular_factorizations_match_brute_force():
+    # Every injective binary morphism with images of at most 3 letters, on
+    # every word of at most 7 letters.
+    images = [bytes(t) for n in range(1, 4) for t in product((0, 1), repeat=n)]
+    words = [word for word in binary_words(7) if word]
+    for u, v in product(images, repeat=2):
+        if u + v == v + u:
+            continue
+        m = Morphism((u, v))
+        for word in words:
+            assert circular_factorizations(word, m) == brute_circular_factorizations(word, m), (u, v, word)
+
+
 def test_factorizations_spell_the_rotation():
     words = [w("baaabbabbbaa"), w("abbaabbaabba"), w("ab") * 4]
     for m in (REC, CONJ, THUE_MORSE):
@@ -283,6 +320,8 @@ def test_sync_delay_absent_when_a_rotation_never_synchronizes():
 
 def test_decide_sync_finite_delay():
     assert decide_sync_finite_delay(THUE_MORSE, BoundedLetterRuns(2, 2)).synchronizing
+    with pytest.raises(ValueError):
+        BoundedLetterRuns(0, 0)
     assert not decide_sync_finite_delay(THUE_MORSE, FULL_BINARY).synchronizing
     assert not decide_sync_finite_delay(THUE_MORSE, BoundedLetterRuns(None, None)).synchronizing
     assert decide_sync_finite_delay(THUE_MORSE, BoundedLetterRuns(7, None)).synchronizing
