@@ -285,7 +285,10 @@ def _parse_scope(text: str, source: Alphabet, digests: dict[str, str]):
         except OSError as exc:
             raise CliError(f"cannot read scope file: {exc}") from None
         digests[path] = hashlib.sha256(data).hexdigest()
-        lines = [line.strip() for line in data.decode("utf-8").splitlines() if line.strip()]
+        try:
+            lines = [line.strip() for line in data.decode("utf-8").splitlines() if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot read scope file: {path}: {exc}") from None
         if not lines:
             raise CliError("scope file contains no words")
         return FiniteList(tuple(source.word(line) for line in lines))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .morphisms import Morphism, _require_injective
 from .primitivity import PowerCase, are_conjugates, power_words
-from .words import Word, circular_factors
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -153,28 +153,26 @@ def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
     full rotation of the image admits no pair at all. A pair of u is a pair
     of every factor that extends u, since each interpretation of the longer
     factor restricts to one of u; so the factors without a pair are closed
-    under taking factors. Whether every circular factor of a length has a
-    pair is therefore monotone in the length, and the delay is the first
-    length at which it holds, found by doubling and then bisecting. A
-    rotation without a pair leaves a factor without one at every length.
+    under taking factors. Let b(i) be the length of the longest factor
+    without a pair that starts at position i of the circular image. By that
+    closure, b(i) > L iff the factor of length L + 1 at i has no pair, so one
+    pass over the starts keeps L = max b so far, growing it at each start
+    while that factor has no pair; it decides at most 2|m(w)| factors. The
+    delay is max b(i) + 1, or None when some b(i) reaches |m(w)|.
     """
     _require_injective(m)
     if not w:
         raise ValueError("delay is undefined for the empty word")
     image = m.apply(w)
-
-    def all_paired(length: int) -> bool:
-        return all(_interpretation_splits(f, m.images) for f in circular_factors(image, length))
-
-    lo, hi = 0, 1  # no length up to lo works
-    while not all_paired(hi):
-        if hi == len(image):
+    n = len(image)
+    doubled = image + image
+    longest = 0
+    for start in range(n):
+        while longest < n and not _interpretation_splits(doubled[start : start + longest + 1], m.images):
+            longest += 1
+        if longest == n:
             return None
-        lo, hi = hi, min(2 * hi, len(image))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if all_paired(mid) else (mid, hi)
-    return hi
+    return longest + 1
 
 
 def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:

@@ -1,0 +1,55 @@
+"""Generic helpers that several test modules share.
+
+Oracles stay in the test module of their topic; this module holds only the
+word builders, enumerators, the runtime budget and the opt-in marker.
+"""
+
+import os
+import time
+from itertools import product
+
+import pytest
+
+from bwtmorph.morphisms import Morphism
+from bwtmorph.words import BINARY
+
+w = BINARY.word
+
+# Sweeps too slow for every run; CI runs them on one Python version.
+SLOW = pytest.mark.skipif(not os.environ.get("BWTMORPH_SLOW_TESTS"), reason="set BWTMORPH_SLOW_TESTS=1 to run")
+
+
+def bm(a_img, b_img):
+    return Morphism((w(a_img), w(b_img)))
+
+
+def binary_words(max_len, min_len=0):
+    for n in range(min_len, max_len + 1):
+        for tup in product((0, 1), repeat=n):
+            yield bytes(tup)
+
+
+def injective_image_pairs(max_size):
+    for total in range(2, max_size + 1):
+        for la in range(1, total):
+            for ia in product((0, 1), repeat=la):
+                u = bytes(ia)
+                for ib in product((0, 1), repeat=total - la):
+                    v = bytes(ib)
+                    if u + v != v + u:
+                        yield u, v
+
+
+class budget:
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self.elapsed = time.perf_counter() - self.start
+        if exc[0] is None:
+            assert self.elapsed < self.seconds, f"budget {self.seconds}s exceeded: {self.elapsed:.1f}s"
+        return False

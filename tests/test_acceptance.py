@@ -6,7 +6,6 @@ growth-shape property, and each test enforces its runtime budget.
 """
 
 import random
-import time
 from fractions import Fraction
 from itertools import product
 
@@ -44,30 +43,12 @@ from bwtmorph.syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from bwtmorph.words import BINARY, Alphabet, circular_factors, is_primitive, rotations
+from bwtmorph.words import BINARY, Alphabet, circular_factors, is_primitive
+from helpers import bm, budget
 from test_bwt import bwt_of_power
 from test_sensitivity import cyclic_sensitivity_constants, rho_ms_bound_check
 
 w = BINARY.word
-
-
-def bm(a_img, b_img):
-    return Morphism((w(a_img), w(b_img)))
-
-
-class budget:
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        if exc[0] is None:
-            assert self.elapsed < self.seconds, f"budget {self.seconds}s exceeded: {self.elapsed:.1f}s"
-        return False
 
 
 def report(number, text):

@@ -167,6 +167,11 @@ def test_decide_delay_file_scope(tmp_path, capsys):
     path.write_text("bbbb\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "decide-delay", "a=baa,b=aba", "--scope", f"file:{path}")
     assert (code, out.strip()) == (0, "synchronizing with finite delay: yes (conjugate images but circular a-runs are bounded in the scope)")
+    # A file that is not UTF-8 is named in the error.
+    path.write_bytes(b"\xffab\n")
+    code, out, err = run_cli(capsys, "decide-delay", "thue-morse", "--scope", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read scope file: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_sensitivity_csv_and_json(capsys):

@@ -34,13 +34,10 @@ from bwtmorph.morphisms import (
     rho,
     thue_morse_like,
 )
-from bwtmorph.words import BINARY, Alphabet, primitive_root
+from bwtmorph.words import BINARY, primitive_root
+from helpers import bm
 
 w = BINARY.word
-
-
-def bm(a_img, b_img):
-    return Morphism((w(a_img), w(b_img)))
 
 
 class PeelStep(NamedTuple):

@@ -18,23 +18,9 @@ from bwtmorph.primitivity import (
 )
 from bwtmorph.syncing import circular_factorizations
 from bwtmorph.words import BINARY, canonical_rotation, commute, is_primitive, primitive_root, rotations
+from helpers import SLOW, binary_words, bm, injective_image_pairs
 
 w = BINARY.word
-
-
-def bm(a_img, b_img):
-    return Morphism((w(a_img), w(b_img)))
-
-
-def injective_image_pairs(max_size):
-    for total in range(2, max_size + 1):
-        for la in range(1, total):
-            for ia in product((0, 1), repeat=la):
-                u = bytes(ia)
-                for ib in product((0, 1), repeat=total - la):
-                    v = bytes(ib)
-                    if u + v != v + u:
-                        yield u, v
 
 
 def power_word_members(cls):
@@ -56,22 +42,101 @@ def holub_candidates(u, v):
     return u, v, [(2, 1)] + [(1, j) for j in range(1, bound + 1)]
 
 
-def binary_words(max_len):
-    for n in range(max_len + 1):
-        for tup in product((0, 1), repeat=n):
-            yield bytes(tup)
+def first_hit(u, v):
+    """The oriented images and the first pair of Holub's test set whose candidate is a power, or None."""
+    big, small, pairs = holub_candidates(u, v)
+    return big, small, next(((l, j) for l, j in pairs if not is_primitive(big * l + small * j)), None)
 
 
-def oracle_is_pp(m, max_len):
-    """Try every primitive word up to max_len, one per rotation class."""
-    for n in range(1, max_len + 1):
-        for tup in product((0, 1), repeat=n):
-            word = bytes(tup)
-            if not is_primitive(word) or min(rotations(word)) != word:
+def _search_case1(u, v):
+    # u = (pq)^m p, v = q(pq)^n with m + n >= 1, so |uv| = (m + n + 1)|pq|:
+    # each divisor det >= 2 of |uv| fixes |pq|, and then |u| fixes m and |p|.
+    total = len(u) + len(v)
+    for det in range(2, total // 2 + 1):
+        if total % det:
+            continue
+        size = total // det
+        mm, lp = divmod(len(u), size)
+        if lp == 0 or mm >= det:
+            continue
+        p = u[:lp]
+        q = v[: size - lp]
+        form = HolubForm(1, p, q, {"m": mm, "n": det - 1 - mm})
+        if not commute(p, q) and form.rebuild() == (u, v):
+            return form
+    return None
+
+
+def _search_case2(u, v, n):
+    # u = (pq^n)^m p with p non-empty needs m n |q| < |u|.
+    q = v
+    for mm in range(1, (len(u) - 1) // (n * len(q)) + 1):
+        lp = len(u) - mm * n * len(q)
+        if lp < mm + 1 or lp % (mm + 1):
+            continue
+        p = u[: lp // (mm + 1)]
+        form = HolubForm(2, p, q, {"m": mm, "n": n})
+        if not commute(p, q) and form.rebuild() == (u, v):
+            return form
+    return None
+
+
+def _search_case3(u, v, k):
+    # v = q(pq)^m fixes |p| per (m, |q|), and |p| >= 1 needs (m + 1)|q| <= |v| - m;
+    # then |u| = n(|pq| + (k-1)|v|) + 2|pq| + (k-2)|v| fixes n.
+    for mm in range(1, len(v) + 1):
+        for lq in range(1, (len(v) - mm) // (mm + 1) + 1):
+            lp = len(v) - (mm + 1) * lq
+            if lp % mm:
                 continue
-            if not is_primitive(m.apply(word)):
-                return False
-    return True
+            lp //= mm
+            q = v[:lq]
+            p = v[lq : lq + lp]
+            if commute(p, q):
+                continue
+            nn, rest = divmod(len(u) - 2 * (lp + lq) - (k - 2) * len(v), lp + lq + (k - 1) * len(v))
+            if nn < 0 or rest:
+                continue
+            form = HolubForm(3, p, q, {"k": k, "m": mm, "n": nn})
+            if form.rebuild() == (u, v):
+                return form
+    return None
+
+
+def _search_case4(u, v):
+    # v = qppq fixes |p| per |q|; then |u| = m|pq| + |p| fixes m.
+    if len(v) % 2:
+        return None
+    for lq in range(1, len(v) // 2):
+        lp = len(v) // 2 - lq
+        q = v[:lq]
+        p = v[lq : lq + lp]
+        if commute(p, q):
+            continue
+        mm, rest = divmod(len(u) - lp, lp + lq)
+        if mm < 2 or rest:
+            continue
+        form = HolubForm(4, p, q, {"m": mm})
+        if form.rebuild() == (u, v):
+            return form
+    return None
+
+
+def holub_form_search(u, v):
+    """Holub's parametric form of a morphism's images, found by search.
+
+    Each family of the hit's pair is searched over its parameters in
+    increasing order, rebuilding the images for every candidate: (2, 1) is
+    case 4, (1, 1) case 1, and (1, j) with j >= 2 case 2, else case 3.
+    """
+    big, small, hit = first_hit(u, v)
+    if hit is None:
+        return None
+    if hit == (2, 1):
+        return _search_case4(big, small)
+    if hit == (1, 1):
+        return _search_case1(big, small)
+    return _search_case2(big, small, hit[1]) or _search_case3(big, small, hit[1])
 
 
 def test_holub_test_set_examples():
@@ -205,23 +270,53 @@ def test_classify_holub_form_parametric_families():
         assert form is not None, (u, v)
         assert form.rebuild() == holub_candidates(u, v)[:2]
         assert not commute(form.p, form.q)
-    # A 20 001-letter v of case 3: its exponents are solved from the lengths,
-    # so the match takes about |v| log |v| steps rather than |v|**2.
+    # A 20 001-letter v of case 3: its parameters are read off the power
+    # that the scan finds, in time linear in |u| + |v|.
     long3 = HolubForm(3, p, q, {"k": 3, "m": 10000, "n": 1})
     assert classify_holub_form(Morphism(long3.rebuild())) == long3
 
 
-def test_classify_holub_form_rebuild_exhaustive():
-    for u, v in injective_image_pairs(9):
-        m = Morphism((u, v))
-        form = classify_holub_form(m)
-        big, small, pairs = holub_candidates(u, v)
-        hit = any(not is_primitive(big * l + small * j) for l, j in pairs)
-        if hit:
-            assert form is not None, (u, v)
-            assert form.rebuild() == (big, small)
-        else:
-            assert form is None
+# (pairs, forms) per size: every injective image pair of that total size at
+# most, and how many of them have a parametric form. Size 16 takes about
+# a minute, so it runs only when BWTMORPH_SLOW_TESTS is set.
+HOLUB_FORM_COUNTS = {12: (81_606, 1_684), 16: (1_834_074, 10_042)}
+
+
+@pytest.mark.parametrize("max_size", [12, pytest.param(16, marks=SLOW)])
+def test_classify_holub_form_equals_the_search(max_size):
+    pairs = forms = 0
+    for u, v in injective_image_pairs(max_size):
+        pairs += 1
+        form = classify_holub_form(Morphism((u, v)))
+        assert form == holub_form_search(u, v), (u, v)
+        if form is not None:
+            forms += 1
+            assert form.rebuild() == holub_candidates(u, v)[:2], (u, v)
+    assert (pairs, forms) == HOLUB_FORM_COUNTS[max_size]
+
+
+def test_classify_holub_form_on_random_family_members():
+    # Members of each family with |p|, |q| <= 6 and small exponents reach
+    # images longer than the exhaustive sweep does; a member may also fit an
+    # earlier form of the search, so the form is compared with the search.
+    rng = random.Random(19)
+    words = list(binary_words(6, min_len=1))
+    checked = 0
+    while checked < 2000:
+        p, q = rng.choice(words), rng.choice(words)
+        case = rng.randint(1, 4)
+        exponents = {
+            1: {"m": rng.randint(0, 4), "n": rng.randint(1, 4)},
+            2: {"m": rng.randint(1, 4), "n": rng.randint(1, 4)},
+            3: {"k": rng.randint(2, 4), "m": rng.randint(1, 4), "n": rng.randint(0, 3)},
+            4: {"m": rng.randint(2, 5)},
+        }[case]
+        u, v = HolubForm(case, p, q, exponents).rebuild()
+        if commute(p, q) or commute(u, v):
+            continue
+        checked += 1
+        form = classify_holub_form(Morphism((u, v)))
+        assert form is not None and form == holub_form_search(u, v), (u, v)
 
 
 def test_readers_equal_the_candidate_loop_exhaustively():
@@ -229,7 +324,7 @@ def test_readers_equal_the_candidate_loop_exhaustively():
     # library finds the first power with one prefix-function pass; the oracle
     # tests each candidate of Holub's set on its own, and its first hit fixes
     # what all three readers report.
-    images = [bytes(t) for n in range(1, 7) for t in product((0, 1), repeat=n)]
+    images = list(binary_words(6, min_len=1))
     letter_cases = [PowerCase.PRESERVING, PowerCase.ONE_LETTER_POWER, PowerCase.TWO_LETTER_POWERS]
     # (2, 1) is Holub's case 4, (1, 1) his case 1, and (1, j) with j >= 2 case 2 or 3.
     holub_cases = {(2, 1): (4,), (1, 1): (1,)}
@@ -239,8 +334,7 @@ def test_readers_equal_the_candidate_loop_exhaustively():
             continue
         count += 1
         m = Morphism((u, v))
-        big, small, pairs = holub_candidates(u, v)
-        hit = next(((l, j) for l, j in pairs if not is_primitive(big * l + small * j)), None)
+        big, small, hit = first_hit(u, v)
         letters = tuple(c for c, image in enumerate((u, v)) if not is_primitive(image))
         cls, verdict, form = power_words(m), is_primitivity_preserving(m), classify_holub_form(m)
         if hit is None:
@@ -354,12 +448,3 @@ def test_check_pp_decomposition_matches_composition():
     assert len(power_words(outer).rotation_witness) == 4001
     expected = is_primitivity_preserving(compose(outer, THUE_MORSE)).preserving
     assert check_pp_decomposition(outer, THUE_MORSE) == expected
-
-
-def test_small_oracle_equivalence():
-    # Fast version of the exhaustive gate: all image pairs up to total
-    # length 7 against brute force over primitive words up to length 9.
-    for u, v in injective_image_pairs(7):
-        m = Morphism((u, v))
-        verdict = is_primitivity_preserving(m)
-        assert verdict.preserving == oracle_is_pp(m, 9), (u, v)

@@ -1,5 +1,4 @@
 import math
-import os
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -32,14 +31,10 @@ from bwtmorph.sensitivity import (
     wk_word,
 )
 from bwtmorph.words import BINARY, Alphabet, canonical_rotation, necklaces, rle
-from test_primitivity import injective_image_pairs
+from helpers import SLOW, bm, injective_image_pairs
 
 w = BINARY.word
 TERNARY = Alphabet("abc")
-
-
-def bm(a_img, b_img):
-    return Morphism((w(a_img), w(b_img)))
 
 
 CYCLIC = Morphism((w("ababbba"), w("ababbba") * 2))
@@ -323,7 +318,6 @@ def test_sturmian_iff_zero_sensitivity_on_fixture_set():
 # to each size. The size-5 sweep takes about four times as long as size 4,
 # so it runs only when BWTMORPH_SLOW_TESTS is set.
 THEOREM_COUNTS = {4: (32, 22), 5: (100, 74)}
-SLOW = pytest.mark.skipif(not os.environ.get("BWTMORPH_SLOW_TESTS"), reason="set BWTMORPH_SLOW_TESTS=1 to run")
 
 
 @pytest.mark.parametrize("max_size", [4, pytest.param(5, marks=SLOW)])

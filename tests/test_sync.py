@@ -20,15 +20,9 @@ from bwtmorph.syncing import (
     sync_delay_for_word,
 )
 from bwtmorph.words import BINARY, all_circular_factors, canonical_rotation, circular_factors, necklaces
-from test_acceptance import budget
-from test_primitivity import injective_image_pairs
-from test_sensitivity import SLOW
+from helpers import SLOW, binary_words, bm, budget, injective_image_pairs
 
 w = BINARY.word
-
-
-def bm(a_img, b_img):
-    return Morphism((w(a_img), w(b_img)))
 
 
 REC = bm("baa", "abb")
@@ -40,12 +34,6 @@ CONJ = bm("baa", "aba")
 # of the factor, the splits that land on a codeword boundary. Source words of
 # length |factor| + 2 realize every interpretation: at most |factor| whole
 # codewords plus one cut codeword on each side.
-
-
-def binary_words(max_len):
-    for n in range(max_len + 1):
-        for tup in product((0, 1), repeat=n):
-            yield bytes(tup)
 
 
 def longest_run(f, letter):
@@ -155,8 +143,8 @@ def brute_circular_factorizations(word, m):
 def test_circular_factorizations_match_brute_force():
     # Every injective binary morphism with images of at most 3 letters, on
     # every word of at most 7 letters.
-    images = [bytes(t) for n in range(1, 4) for t in product((0, 1), repeat=n)]
-    words = [word for word in binary_words(7) if word]
+    images = list(binary_words(3, min_len=1))
+    words = list(binary_words(7, min_len=1))
     for u, v in product(images, repeat=2):
         if u + v == v + u:
             continue
@@ -196,7 +184,7 @@ def test_sync_pairs_match_brute_enumeration():
 def test_interpretations_match_the_enumerator_exhaustively():
     # Every injective morphism with images of length <= 3, every factor of
     # length <= 4.
-    for u, v in product([f for f in binary_words(3) if f], repeat=2):
+    for u, v in product(binary_words(3, min_len=1), repeat=2):
         if u + v == v + u:
             continue
         m = Morphism((u, v))
@@ -239,7 +227,7 @@ def test_delay_equals_the_top_down_scan():
     # Every injective morphism of size <= 5 with every word of length <= 5.
     # Over all source words the delay depends only on the set of images and
     # the rotation class of the image, so the scan runs once per such pair.
-    sources = [f for f in binary_words(5) if f]
+    sources = list(binary_words(5, min_len=1))
     images = [f for f in sources if len(f) <= 4]
     scanned = {}
     for u, v in product(images, repeat=2):

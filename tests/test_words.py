@@ -20,14 +20,9 @@ from bwtmorph.words import (
     rle,
     rotations,
 )
+from helpers import binary_words
 
 w = BINARY.word
-
-
-def all_binary_words(max_len):
-    for n in range(1, max_len + 1):
-        for tup in product((0, 1), repeat=n):
-            yield bytes(tup)
 
 
 def test_rle_examples():
@@ -41,7 +36,7 @@ def expand(runs):
 
 
 def test_rle_round_trip_exhaustive():
-    for word in all_binary_words(16):
+    for word in binary_words(16, min_len=1):
         assert expand(rle(word)) == word
 
 
@@ -72,7 +67,7 @@ def brute_force_root(word):
 
 
 def test_primitive_root_soundness_exhaustive():
-    for word in all_binary_words(12):
+    for word in binary_words(12, min_len=1):
         root, exp = primitive_root(word)
         assert root * exp == word
         assert (root, exp) == brute_force_root(word)
@@ -88,7 +83,7 @@ def test_rotations():
 
 
 def test_rotation_count_matches_exponent():
-    for word in all_binary_words(10):
+    for word in binary_words(10, min_len=1):
         exp = primitive_root(word).exponent
         assert len(set(rotations(word))) == len(word) // exp
 
@@ -123,8 +118,8 @@ def test_commute():
 
 
 def test_commute_iff_same_primitive_root():
-    for u in all_binary_words(8):
-        for v in all_binary_words(8):
+    for u in binary_words(8, min_len=1):
+        for v in binary_words(8, min_len=1):
             same_root = primitive_root(u).root == primitive_root(v).root
             assert commute(u, v) == same_root
 
