@@ -477,26 +477,26 @@ def cmd_reproduce(args) -> str:
     return _REPRODUCE[args.target]()
 
 
-# Each subcommand: name, handler, summary, positionals, whether it reads words
-# (and so takes --json and --alphabet), and its further arguments as
+# Each subcommand by name: handler, summary, positionals, whether it reads
+# words (and so takes --json and --alphabet), and its further arguments as
 # (flags, keywords) pairs.
-_COMMANDS = (
-    ("bwt", cmd_bwt, "transform a word and count runs", ("word",), True, ()),
-    ("inverse-bwt", cmd_inverse_bwt, "invert a transform", ("word",), True, ((("index",), {"type": int}),)),
-    ("apply", cmd_apply, "apply a morphism to a word", ("morphism", "word"), True, ()),
-    ("compose", cmd_compose, "compose two morphisms (outer after inner)", ("outer", "inner"), True, ()),
-    ("classify", cmd_classify, "full classification report for a binary morphism", ("morphism",), True, ()),
-    ("mu-powers", cmd_mu_powers, "classify the primitive words mapped to powers", ("morphism",), True, ()),
-    (
-        "sync", cmd_sync, "factorizations, sync pairs, and delay for one word", ("morphism",), True,
+_COMMANDS = {
+    "bwt": (cmd_bwt, "transform a word and count runs", ("word",), True, ()),
+    "inverse-bwt": (cmd_inverse_bwt, "invert a transform", ("word",), True, ((("index",), {"type": int}),)),
+    "apply": (cmd_apply, "apply a morphism to a word", ("morphism", "word"), True, ()),
+    "compose": (cmd_compose, "compose two morphisms (outer after inner)", ("outer", "inner"), True, ()),
+    "classify": (cmd_classify, "full classification report for a binary morphism", ("morphism",), True, ()),
+    "mu-powers": (cmd_mu_powers, "classify the primitive words mapped to powers", ("morphism",), True, ()),
+    "sync": (
+        cmd_sync, "factorizations, sync pairs, and delay for one word", ("morphism",), True,
         ((("--word",), {"required": True}),),
     ),
-    (
-        "decide-delay", cmd_decide_delay, "decide synchronization with finite delay on a scope", ("morphism",), True,
+    "decide-delay": (
+        cmd_decide_delay, "decide synchronization with finite delay on a scope", ("morphism",), True,
         ((("--scope",), {"required": True, "help": "full, runs:<a>:<b> (counts or inf), or file:<path>"}),),
     ),
-    (
-        "sensitivity", cmd_sensitivity, "exact additive and multiplicative sensitivity", ("morphism",), True,
+    "sensitivity": (
+        cmd_sensitivity, "exact additive and multiplicative sensitivity", ("morphism",), True,
         (
             (("--n-from",), {"type": int, "required": True}),
             (("--n-to",), {"type": int, "required": True}),
@@ -504,56 +504,72 @@ _COMMANDS = (
             (("--include-constants",), {"action": "store_true", "help": "maximize over constant words too"}),
         ),
     ),
-    (
-        "experiment", cmd_experiment, "growth experiments as CSV", (), False,
+    "experiment": (
+        cmd_experiment, "growth experiments as CSV", (), False,
         (
             (("kind",), {"choices": ("rho", "fib-dollar")}),
             (("--p",), {"type": int}),
             (("--k",), {"required": True, "help": "range like 6..12"}),
         ),
     ),
-    (
-        "reproduce", cmd_reproduce, "regenerate a committed reference output and check it", (), False,
+    "reproduce": (
+        cmd_reproduce, "regenerate a committed reference output and check it", (), False,
         ((("target",), {"choices": _REPRODUCE}),),
     ),
-)
+}
 
 
-def _add_shared_options(p: argparse.ArgumentParser, words: bool) -> None:
-    """--manifest, after --json and --alphabet when the subcommand reads words."""
+def _fill_subcommand(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add the arguments of subcommand `name`, from its `_COMMANDS` row, to its parser `p`."""
+    func, _, positionals, words, extras = _COMMANDS[name]
     if words:
         p.add_argument("--json", action="store_true")
         p.add_argument("--alphabet", help="explicit letter order, e.g. '$ab'")
     p.add_argument("--manifest", help="write a reproducibility manifest to this path")
+    for dest in positionals:
+        p.add_argument(dest)
+    for flags, keywords in extras:
+        p.add_argument(*flags, **keywords)
+    p.set_defaults(func=func)
+    return p
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; given argv, only the subcommands named in it get arguments.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, or given a subcommand name, that subcommand's parser alone.
 
-    Every subcommand is registered, so top-level help, usage and errors list
-    them all. argparse dispatches only to a subcommand whose name is a token
-    of argv, so leaving the others empty cannot change a parse; with no argv
-    every subcommand is filled.
+    The subcommand's parser is the one the full parser dispatches to: the
+    full parser takes no positional before the subcommand, so its subparsers
+    are named ``bwtmorph <name>``.
     """
     # Every add_argument and every usage or help text builds a formatter,
     # which by default asks the terminal for its width each time; read it
     # once and subtract the 2 columns HelpFormatter itself takes off.
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    if command is not None:
+        return _fill_subcommand(argparse.ArgumentParser(prog=f"bwtmorph {command}", formatter_class=formatter), command)
     parser = argparse.ArgumentParser(prog="bwtmorph", description=__doc__, formatter_class=formatter)
     parser.add_argument("--version", action="version", version=f"bwtmorph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = None if argv is None else set(argv)
-    for name, func, summary, positionals, words, extras in _COMMANDS:
-        p = sub.add_parser(name, help=summary, formatter_class=formatter)
-        if named is not None and name not in named:
-            continue
-        _add_shared_options(p, words)
-        for dest in positionals:
-            p.add_argument(dest)
-        for flags, keywords in extras:
-            p.add_argument(*flags, **keywords)
-        p.set_defaults(func=func)
+    for name, (_, summary, *_) in _COMMANDS.items():
+        _fill_subcommand(sub.add_parser(name, help=summary, formatter_class=formatter), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the full parser would, building only the subcommand's parser when argv[0] names one.
+
+    This is what the full parser's subparser action does: the subcommand's
+    parser parses the tokens after the name into a namespace that holds the
+    name. The full parser parses anything else, and argv again when tokens are
+    left over, so that argparse reports them with the top-level usage. It
+    also parses argv with a token that starts with ``--=``, which it rejects
+    before dispatching, as an abbreviation of both --help and --version.
+    """
+    if argv and argv[0] in _COMMANDS and not any(token.startswith("--=") for token in argv):
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _write_manifest(path: str, argv: list[str], alphabet: str | None, inputs: dict[str, str], output: str) -> None:
@@ -571,7 +587,7 @@ def _write_manifest(path: str, argv: list[str], alphabet: str | None, inputs: di
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     args.input_digests = {}  # path -> sha256 of each input file the command reads
     try:
         output = args.func(args)

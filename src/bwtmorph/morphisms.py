@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .words import BINARY, Alphabet, Word, primitive_root
+from .words import BINARY, Alphabet, Word, commute, primitive_root
 
 @dataclass(frozen=True)
 class Morphism:
@@ -95,7 +95,7 @@ def is_injective_binary(m: Morphism) -> bool:
     """For binary sources, injective iff acyclic iff the images do not commute."""
     _require_binary(m)
     u, v = m.images
-    return u + v != v + u
+    return not commute(u, v)
 
 
 def _require_injective(m: Morphism) -> None:

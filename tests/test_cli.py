@@ -440,6 +440,12 @@ def exit_and_output(capsys, parse, argv):
         ("sync", "thue-morse"),
         ("reproduce", "table2"),
         ("experiment", "sqrt", "--k", "6..8"),
+        (),
+        ("classify",),
+        ("classify", "thue-morse", "--version"),
+        ("classify", "thue-morse", "extra"),
+        ("classify", "thue-morse", "--=x"),
+        ("sensitivity", "thue-morse", "--n-from", "x", "--n-to", "3"),
     ],
     ids=" ".join,
 )
@@ -451,7 +457,7 @@ def test_help_and_usage_match_the_reference_parser(capsys, monkeypatch, columns,
 
 
 # One valid argv per subcommand; some values spell another subcommand's name,
-# which must not make the lazily filled parser read them differently.
+# which must not change which parser reads them.
 VALID_ARGV = [
     ("bwt", "bwt"),
     ("bwt", "abaababa", "--json", "--alphabet", "ab"),
@@ -473,8 +479,25 @@ VALID_ARGV = [
 def test_parses_match_the_reference_parser(argv):
     expected = reference_parser().parse_args(list(argv))
     # The handlers are the same functions, so func compares equal as well.
-    assert cli.build_parser(list(argv)).parse_args(list(argv)) == expected
+    assert cli._parse_args(list(argv)) == expected
     assert cli.build_parser().parse_args(list(argv)) == expected
+
+
+def test_a_subcommand_call_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["classify", "a=ab,b=ba"]) == 0
+    assert built == ["bwtmorph classify"]
+    built.clear()
+    # Top-level help lists every subcommand, so it builds all eleven.
+    assert exit_and_output(capsys, main, ["--help"])[0] == 0
+    assert len(built) == 1 + len(SUBCOMMANDS) == 12
 
 
 def test_valid_argv_cover_every_subcommand():
