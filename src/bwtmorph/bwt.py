@@ -8,16 +8,18 @@ shift, which makes the primary index deterministic.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+import struct
+from itertools import accumulate
 from typing import NamedTuple
 
 from .words import Word, _require_nonempty
 
-# Above this length, rotation sorting switches from doubled-word slice
-# comparison to cyclic prefix doubling; both orders are identical by
-# construction. The slice keys cost n**2 bytes, and on a 2-core x86-64 VM the
-# slice path stays faster up to about 1.6k symbols on random binary words and
-# 1.8k on Fibonacci-$ and periodic ones; 1024 keeps the slice memory near 1 MB.
+# Above this length, rotation sorting switches from sorting the rotation rows
+# to cyclic prefix doubling; both orders are identical by construction. The
+# rows cost about 2n**2 bytes while they are cut (w**(n+1), then n rows of
+# n + 1 symbols), and on a 2-core x86-64 VM with Python 3.11 the row sort
+# stays faster up to about 1.7k symbols on random binary words and 2.8k on
+# Fibonacci-$ and periodic ones; 1024 keeps the rows near 2 MB.
 _SMALL_SORT_LIMIT = 1024
 
 
@@ -34,9 +36,20 @@ def rotation_order(w: Word) -> list[int]:
     _require_nonempty(w)
     n = len(w)
     if n <= _SMALL_SORT_LIMIT:
-        doubled = w + w
-        return sorted(range(n), key=lambda i: doubled[i : i + n])
+        return sorted(range(n), key=_rotation_rows(w).__getitem__)
     return _rotation_order_doubling(w)
+
+
+def _rotation_rows(w: Word) -> tuple[bytes, ...]:
+    """Row j is rotation j of w followed by w[j], cut from w**(n+1) in one call.
+
+    Piece j of n + 1 symbols starts at j * (n + 1), which is j modulo n. The
+    extra symbol orders no two rows that differ: rows that differ do so within
+    their first n symbols. Equal rotations have equal first symbols, so their
+    rows stay equal, and a stable sort keeps them in shift order.
+    """
+    n = len(w)
+    return struct.unpack(f"{n + 1}s" * n, w * (n + 1))
 
 
 def _rotation_order_doubling(w: Word) -> list[int]:
@@ -126,20 +139,20 @@ def run_count(w: Word) -> int:
     p copies of each rotation of z are adjacent in the sorted order, so both
     have the same runs. The least i >= 1 at which w occurs in ww is
     |z|, as in `words.primitive_root`, and the first 2|z| symbols of ww are
-    zz. Up to the sort cutoff the rotations themselves are sorted and the
-    last symbol of each is read, as every n-th symbol of their join: equal
-    rotations are equal strings, so how ties are ordered cannot change the
-    last column. Above it the rotation order of z indexes
-    zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1]. The column's runs are counted by
-    `groupby` without building (symbol, length) pairs.
+    zz. Up to the sort cutoff the rows of z (rotation j, then z[j]) are
+    sorted, which is the rotation order since the rotations of a primitive
+    word are distinct, and the last symbol of each rotation is read from
+    their join, one every |z| + 1 symbols. Above it the rotation order of z
+    indexes zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1]. Neighbours in the column
+    are equal exactly where the XOR of the column with itself shifted by one
+    has a zero byte, so the runs are |z| less that count.
     """
     _require_nonempty(w)
     doubled = w + w
     n = doubled.find(w, 1)
     if n <= _SMALL_SORT_LIMIT:
-        rotations = [doubled[i : i + n] for i in range(n)]
-        rotations.sort()
-        column = b"".join(rotations)[n - 1 :: n]
+        column = b"".join(sorted(_rotation_rows(w[:n])))[n - 1 :: n + 1]
     else:
         column = bytes(map(doubled[n - 1 : 2 * n - 1].__getitem__, rotation_order(w[:n])))
-    return len(list(groupby(column)))
+    equal = int.from_bytes(column[1:], "big") ^ int.from_bytes(column[:-1], "big")
+    return n - equal.to_bytes(n - 1, "big").count(0)

@@ -8,6 +8,7 @@ are defined for binary sources only, matching their mathematical scope.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -266,6 +267,11 @@ class ParsedMorphism(NamedTuple):
     target: Alphabet
 
 
+# What no letter of a morphism text may be: the separators and whitespace
+# (`\s` matches exactly the characters for which str.isspace() is true).
+_NOT_A_LETTER = re.compile(r"[\s=,]")
+
+
 def parse_morphism(text: str, target_letters: str | None = None) -> ParsedMorphism:
     """Parse the ``a=ab,b=ba`` format.
 
@@ -273,7 +279,9 @@ def parse_morphism(text: str, target_letters: str | None = None) -> ParsedMorphi
     target alphabet defaults to the ASCII-sorted set of letters appearing
     in the images, unless an explicit letter order is given. A named
     morphism maps a and b to words over a and b; with an explicit letter
-    order it parses as that ``a=..,b=..`` text.
+    order it parses as that ``a=..,b=..`` text. No letter, source or image,
+    may be whitespace, ``=`` or ``,``: those would let a mistyped text such
+    as ``a=ab b=ba`` parse as one image.
     """
     if "=" not in text:
         m = named_morphism(text)
@@ -289,6 +297,9 @@ def parse_morphism(text: str, target_letters: str | None = None) -> ParsedMorphi
             raise ValueError(f"source symbol {letter!r} must be a single letter")
         if not image:
             raise ValueError(f"empty image for {letter!r}: erasing morphisms are not allowed")
+        bad = _NOT_A_LETTER.search(letter + image)
+        if bad:
+            raise ValueError(f"letter {bad.group()!r} in {part!r}: morphism letters cannot be whitespace, '=' or ','")
         pairs.append((letter, image))
     source_letters = "".join(letter for letter, _ in pairs)
     source = Alphabet(source_letters)

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 from .bwt import run_count
 from .morphisms import Morphism, is_cyclic, rho
 from .primitivity import is_primitivity_preserving
-from .words import EmptyWordError, Word, constant_words, necklaces
+from .words import Word, constant_words, necklaces
 
 
 class SensitivityRow(NamedTuple):
@@ -34,18 +34,6 @@ class SensitivityRow(NamedTuple):
 class ExperimentTable(NamedTuple):
     headers: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-
-def delta_plus(m: Morphism, w: Word) -> int:
-    if not w:
-        raise EmptyWordError("delta is undefined on the empty word")
-    return run_count(m.apply(w)) - run_count(w)
-
-
-def delta_times(m: Morphism, w: Word) -> Fraction:
-    if not w:
-        raise EmptyWordError("delta is undefined on the empty word")
-    return Fraction(run_count(m.apply(w)), run_count(w))
 
 
 def sensitivity(m: Morphism, n: int, include_constant_words: bool = False) -> SensitivityRow:

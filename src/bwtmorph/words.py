@@ -96,19 +96,6 @@ def is_primitive(w: Word) -> bool:
     return (w + w).find(w, 1) == len(w)
 
 
-def rotations(w: Word) -> list[Word]:
-    """All |w| rotations, with multiplicity, in shift order."""
-    _require_nonempty(w)
-    doubled = w + w
-    n = len(w)
-    return [doubled[i : i + n] for i in range(n)]
-
-
-def canonical_rotation(w: Word) -> Word:
-    """Lexicographically least rotation: the canonical necklace representative."""
-    return min(rotations(w))
-
-
 def circular_factors(w: Word, length: int) -> set[Word]:
     """Distinct length-`length` factors occurring in some rotation of w."""
     if length < 0 or length > len(w):

@@ -1,17 +1,20 @@
 """Generic helpers that several test modules share.
 
 Oracles stay in the test module of their topic; this module holds only the
-word builders, enumerators, the runtime budget and the opt-in marker.
+word builders, enumerators, the per-word run deltas, the runtime budget and
+the opt-in marker.
 """
 
 import os
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from bwtmorph.bwt import run_count
 from bwtmorph.morphisms import Morphism
-from bwtmorph.words import BINARY
+from bwtmorph.words import BINARY, EmptyWordError
 
 w = BINARY.word
 
@@ -21,6 +24,34 @@ SLOW = pytest.mark.skipif(not os.environ.get("BWTMORPH_SLOW_TESTS"), reason="set
 
 def bm(a_img, b_img):
     return Morphism((w(a_img), w(b_img)))
+
+
+def rotations(word):
+    """All |w| rotations, with multiplicity, in shift order."""
+    if not word:
+        raise EmptyWordError("rotations are undefined on the empty word")
+    doubled = word + word
+    n = len(word)
+    return [doubled[i : i + n] for i in range(n)]
+
+
+def canonical_rotation(word):
+    """Lexicographically least rotation: the canonical necklace representative."""
+    return min(rotations(word))
+
+
+def delta_plus(m, word):
+    """r(m(w)) - r(w), the additive change of one word's run count."""
+    if not word:
+        raise EmptyWordError("delta is undefined on the empty word")
+    return run_count(m.apply(word)) - run_count(word)
+
+
+def delta_times(m, word):
+    """r(m(w)) / r(w), the multiplicative change of one word's run count."""
+    if not word:
+        raise EmptyWordError("delta is undefined on the empty word")
+    return Fraction(run_count(m.apply(word)), run_count(word))
 
 
 def binary_words(max_len, min_len=0):

@@ -30,7 +30,6 @@ from bwtmorph.primitivity import (
     power_words,
 )
 from bwtmorph.sensitivity import (
-    delta_plus,
     fibonacci_dollar_experiment,
     sensitivity,
     wk_word,
@@ -44,7 +43,7 @@ from bwtmorph.syncing import (
     sync_delay_for_word,
 )
 from bwtmorph.words import BINARY, Alphabet, circular_factors, is_primitive
-from helpers import bm, budget
+from helpers import bm, budget, delta_plus
 from test_bwt import bwt_of_power
 from test_sensitivity import cyclic_sensitivity_constants, rho_ms_bound_check
 

@@ -15,7 +15,8 @@ from bwtmorph.bwt import (
     run_count,
 )
 from bwtmorph.morphisms import EXCHANGE, FIBONACCI, FIBONACCI_TILDE, compose
-from bwtmorph.words import BINARY, Alphabet, EmptyWordError, is_primitive, necklaces, rle, rotations
+from bwtmorph.words import BINARY, Alphabet, EmptyWordError, is_primitive, necklaces, rle
+from helpers import SLOW, rotations
 
 w = BINARY.word
 TERNARY = Alphabet("abc")
@@ -23,8 +24,8 @@ TERNARY = Alphabet("abc")
 
 def slice_order(word):
     # Rotations compared as explicit slices, equal ones by ascending shift.
-    n = len(word)
-    return sorted(range(n), key=lambda i: (word[i:] + word[:i], i))
+    rots = rotations(word)
+    return sorted(range(len(word)), key=lambda i: (rots[i], i))
 
 
 def brute_bwt(word):
@@ -42,6 +43,33 @@ def bwt_of_power(z, p):
     base = bwt(z)
     expanded = b"".join(bytes([s]) * p for s in base.transformed)
     return BwtResult(expanded, base.primary_index * p)
+
+
+def words_over(symbols, max_len):
+    for n in range(1, max_len + 1):
+        for tup in product(symbols, repeat=n):
+            yield bytes(tup)
+
+
+@pytest.mark.parametrize("ternary, binary", [(8, 14), pytest.param(10, 18, marks=SLOW)])
+def test_rotation_kernel_matches_the_definitions(ternary, binary):
+    # rotation_order and run_count share one row sort up to the cutoff, so
+    # both are checked against sorting the rotations themselves: every word
+    # over 3 symbols and over 2 up to the given lengths, the powers z**p of
+    # the words 2 and 4 symbols shorter (equal rotations tie), the extreme
+    # symbols 0 and 255, and lengths next to the cutoff.
+    words = [*words_over((0, 1, 2), ternary), *words_over((0, 1), binary)]
+    roots = [*words_over((0, 1, 2), ternary - 2), *words_over((0, 1), binary - 4)]
+    words += [z * p for z in roots for p in (2, 3, 4)]
+    words += [*words_over((0, 255), 10), *words_over((0, 1, 254, 255), 5), bytes(range(256)), bytes(range(255, -1, -1))]
+    rng = random.Random(9)
+    for n in (1, _SMALL_SORT_LIMIT - 1, _SMALL_SORT_LIMIT, _SMALL_SORT_LIMIT + 1):
+        for sigma in (2, 256):
+            z = bytes(rng.randrange(sigma) for _ in range(n))
+            words += [z, z * 2, bytes([255, 0]) * (n // 2) + z[: n % 2]]
+    for word in words:
+        assert rotation_order(word) == slice_order(word), word
+        assert run_count(word) == len(rle(brute_bwt(word)[0])), word
 
 
 def test_known_transforms():

@@ -356,6 +356,9 @@ def test_error_exit_codes(capsys):
         ("inverse-bwt", "ab", "5"),
         ("compose", "a=ab,b=ba", "a=abc,b=a"),
         ("apply", "a=ab,b=ba", "abc"),
+        ("apply", "a=ab b=ba", "a"),
+        ("apply", "a=a,b==", "ab"),
+        ("classify", "a=ab, b=ba"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:"), argv

@@ -287,3 +287,14 @@ def test_named_and_parsed_morphisms():
     assert dollar.morphism.images == (bytes([0]), bytes([1, 2]), bytes([1]))
     with pytest.raises(ValueError):
         parse_morphism("a=,b=ba")
+
+
+def test_morphism_letters_are_no_separator_and_no_whitespace():
+    # Without the rule each would parse as fewer pairs with odd images, such
+    # as a -> "ab b=ba" over the target alphabet " =ab".
+    for text in ("a=ab b=ba", "a=a,b==", "a=a=b,b=b", " =a,b=b", "a=a\tb,b=b", "a=ab,b=b\n"):
+        with pytest.raises(ValueError, match="cannot be whitespace, '=' or ','"):
+            parse_morphism(text)
+    with pytest.raises(ValueError, match="cannot be whitespace"):
+        parse_morphism("a=a b,b=b", target_letters=" ab")
+    assert parse_morphism("$=$,a=ab,b=a").target.letters == "$ab"

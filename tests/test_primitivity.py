@@ -17,8 +17,8 @@ from bwtmorph.primitivity import (
     power_words,
 )
 from bwtmorph.syncing import circular_factorizations
-from bwtmorph.words import BINARY, canonical_rotation, commute, is_primitive, primitive_root, rotations
-from helpers import SLOW, binary_words, bm, injective_image_pairs
+from bwtmorph.words import BINARY, commute, is_primitive, primitive_root
+from helpers import SLOW, binary_words, bm, canonical_rotation, injective_image_pairs, rotations
 
 w = BINARY.word
 

@@ -22,16 +22,14 @@ from bwtmorph.morphisms import (
 )
 from bwtmorph.sensitivity import (
     DOLLAR_FIBONACCI,
-    delta_plus,
-    delta_times,
     fibonacci_dollar_experiment,
     is_bwt_run_preserving,
     rho_experiment,
     sensitivity,
     wk_word,
 )
-from bwtmorph.words import BINARY, Alphabet, canonical_rotation, necklaces, rle
-from helpers import SLOW, bm, injective_image_pairs
+from bwtmorph.words import BINARY, Alphabet, necklaces, rle
+from helpers import SLOW, bm, canonical_rotation, delta_plus, delta_times, injective_image_pairs
 
 w = BINARY.word
 TERNARY = Alphabet("abc")

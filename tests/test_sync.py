@@ -19,8 +19,8 @@ from bwtmorph.syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from bwtmorph.words import BINARY, all_circular_factors, canonical_rotation, circular_factors, necklaces
-from helpers import SLOW, binary_words, bm, budget, injective_image_pairs
+from bwtmorph.words import BINARY, all_circular_factors, circular_factors, necklaces
+from helpers import SLOW, binary_words, bm, budget, canonical_rotation, injective_image_pairs
 
 w = BINARY.word
 

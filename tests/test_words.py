@@ -10,7 +10,6 @@ from bwtmorph.words import (
     Alphabet,
     EmptyWordError,
     all_circular_factors,
-    canonical_rotation,
     circular_factors,
     commute,
     constant_words,
@@ -18,9 +17,8 @@ from bwtmorph.words import (
     necklaces,
     primitive_root,
     rle,
-    rotations,
 )
-from helpers import binary_words
+from helpers import binary_words, canonical_rotation, rotations
 
 w = BINARY.word
 
