@@ -19,6 +19,7 @@ import os
 import shutil
 import sys
 from fractions import Fraction
+from typing import Any, Callable
 
 from . import __version__, fixtures
 # run_count is unused here, but perfbench/test_perfbench.py checks that the
@@ -78,60 +79,52 @@ def _require(condition: bool, message: str) -> None:
         raise CliError(message)
 
 
-def _rle_letters(alpha: Alphabet, w: Word) -> list[list]:
-    return [[alpha.letters[s], count] for s, count in rle(w)]
-
-
 def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def cmd_bwt(args) -> str:
+# What each cmd_* handler returns: its payload, the value that --json prints,
+# and the function that renders the payload as text; main picks the format.
+Result = tuple[Any, Callable[[Any], str]]
+
+
+def cmd_bwt(args) -> Result:
     alpha = _alphabet_for([args.word], args.alphabet)
     w = alpha.word(args.word)
     _require(len(w) > 0, "bwt needs a non-empty word")
     res = bwt(w)
-    r = len(rle(res.transformed))
-    if args.json:
-        payload = {
-            "input": args.word,
-            "bwt": alpha.render(res.transformed),
-            "index": res.primary_index,
-            "r": r,
-            "rle": _rle_letters(alpha, res.transformed),
-        }
-        return json.dumps(payload, sort_keys=True)
-    return f"{alpha.render(res.transformed)} (index={res.primary_index}, r={r})"
+    runs = [[alpha.letters[s], count] for s, count in rle(res.transformed)]
+    payload = {
+        "input": args.word,
+        "bwt": alpha.render(res.transformed),
+        "index": res.primary_index,
+        "r": len(runs),
+        "rle": runs,
+    }
+    return payload, lambda p: f"{p['bwt']} (index={p['index']}, r={p['r']})"
 
 
-def cmd_inverse_bwt(args) -> str:
+def cmd_inverse_bwt(args) -> Result:
     alpha = _alphabet_for([args.word], args.alphabet)
-    w = alpha.word(args.word)
-    original = inverse_bwt(w, args.index)
-    if args.json:
-        return json.dumps({"bwt": args.word, "index": args.index, "word": alpha.render(original)}, sort_keys=True)
-    return alpha.render(original)
+    original = inverse_bwt(alpha.word(args.word), args.index)
+    return {"bwt": args.word, "index": args.index, "word": alpha.render(original)}, lambda p: p["word"]
 
 
-def cmd_apply(args) -> str:
+def cmd_apply(args) -> Result:
     parsed = parse_morphism(args.morphism, args.alphabet)
-    w = parsed.source.word(args.word)
-    image = parsed.morphism.apply(w)
-    rendered = parsed.target.render(image)
-    if args.json:
-        return json.dumps({"word": args.word, "image": rendered}, sort_keys=True)
-    return rendered
+    image = parsed.morphism.apply(parsed.source.word(args.word))
+    return {"word": args.word, "image": parsed.target.render(image)}, lambda p: p["image"]
 
 
-def cmd_compose(args) -> str:
+def cmd_compose(args) -> Result:
     outer = parse_morphism(args.outer, args.alphabet)
-    inner = parse_morphism(args.inner, args.alphabet)
+    # The inner images are words over the outer source letters, so that
+    # compose pairs them letter by letter.
+    inner = parse_morphism(args.inner, outer.source.letters)
     result = compose(outer.morphism, inner.morphism)
-    text = format_morphism(result, inner.source, outer.target)
-    if args.json:
-        pairs = dict(part.split("=", 1) for part in text.split(","))
-        return json.dumps({"images": pairs}, sort_keys=True)
-    return text
+    # Source order of the inner morphism; JSON sorts the keys, the text does not.
+    images = {letter: outer.target.render(img) for letter, img in zip(inner.source.letters, result.images)}
+    return {"images": images}, lambda p: ",".join(f"{a}={img}" for a, img in p["images"].items())
 
 
 def _power_words(parsed: ParsedMorphism) -> dict:
@@ -178,11 +171,7 @@ def _classification(parsed: ParsedMorphism) -> dict:
     return out
 
 
-def cmd_classify(args) -> str:
-    parsed = parse_morphism(args.morphism, args.alphabet)
-    data = _classification(parsed)
-    if args.json:
-        return json.dumps(data, sort_keys=True)
+def _classification_text(data: dict) -> str:
     lines = [f"injective: {'yes' if data['injective'] else 'no'}"]
     lines.append(f"cyclic: {'yes (z=' + data['cyclic'] + ')' if data['cyclic'] else 'no'}")
     if not data["injective"]:
@@ -213,14 +202,11 @@ def cmd_classify(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_mu_powers(args) -> str:
-    parsed = parse_morphism(args.morphism, args.alphabet)
-    m = parsed.morphism
-    _require(m.is_binary(), "power-word classification requires a binary source alphabet")
-    _require(is_injective_binary(m), "power-word classification requires an injective morphism")
-    payload = _power_words(parsed)
-    if args.json:
-        return json.dumps(payload, sort_keys=True)
+def cmd_classify(args) -> Result:
+    return _classification(parse_morphism(args.morphism, args.alphabet)), _classification_text
+
+
+def _power_words_text(payload: dict) -> str:
     lines = [f"case: {payload['case']}"]
     lines.append("letters: " + (",".join(payload["letters"]) if payload["letters"] else "none"))
     if payload["rotation_witness"]:
@@ -228,7 +214,28 @@ def cmd_mu_powers(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_sync(args) -> str:
+def cmd_mu_powers(args) -> Result:
+    parsed = parse_morphism(args.morphism, args.alphabet)
+    m = parsed.morphism
+    _require(m.is_binary(), "power-word classification requires a binary source alphabet")
+    _require(is_injective_binary(m), "power-word classification requires an injective morphism")
+    return _power_words(parsed), _power_words_text
+
+
+def _sync_text(payload: dict) -> str:
+    facts = payload["factorizations"]
+    lines = [f"image: {payload['image']}", f"circular factorizations: {len(facts)}"]
+    lines.extend(f"  offset {f['offset']}: " + " ".join(f["codewords"]) for f in facts)
+    lines.extend(
+        f"length {row['length']}: {row['with_pair']}/{row['total']} circular factors admit a synchronization pair"
+        for row in payload["factors_with_sync_pair"]
+    )
+    delay = payload["delay"]
+    lines.append(f"delay: {delay if delay is not None else 'none'}")
+    return "\n".join(lines)
+
+
+def cmd_sync(args) -> Result:
     parsed = parse_morphism(args.morphism, args.alphabet)
     m, source, target = parsed
     w = parsed.source.word(args.word)
@@ -241,31 +248,22 @@ def cmd_sync(args) -> str:
         by_length[len(f)].append(f)
     # A factor at least as long as the delay has a pair by the delay's definition.
     walked = len(by_length) if delay is None else delay
-    per_length = [
-        (length, sum(1 for f in factors if length >= walked or find_sync_pairs(f, m)), len(factors))
-        for length, factors in enumerate(by_length)
-    ]
-    if args.json:
-        payload = {
-            "image": target.render(image),
-            "factorizations": [
-                {"offset": f.rotation_offset, "codewords": [source.letters[c] for c in f.codewords]}
-                for f in facts
-            ],
-            "delay": delay,
-            "factors_with_sync_pair": [
-                {"length": length, "with_pair": got, "total": total} for length, got, total in per_length
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-    lines = [f"image: {target.render(image)}"]
-    lines.append(f"circular factorizations: {len(facts)}")
-    for f in facts:
-        lines.append(f"  offset {f.rotation_offset}: " + " ".join(source.letters[c] for c in f.codewords))
-    for length, got, total in per_length:
-        lines.append(f"length {length}: {got}/{total} circular factors admit a synchronization pair")
-    lines.append(f"delay: {delay if delay is not None else 'none'}")
-    return "\n".join(lines)
+    payload = {
+        "image": target.render(image),
+        "factorizations": [
+            {"offset": f.rotation_offset, "codewords": [source.letters[c] for c in f.codewords]} for f in facts
+        ],
+        "delay": delay,
+        "factors_with_sync_pair": [
+            {
+                "length": length,
+                "with_pair": sum(1 for f in factors if length >= walked or find_sync_pairs(f, m)),
+                "total": len(factors),
+            }
+            for length, factors in enumerate(by_length)
+        ],
+    }
+    return payload, _sync_text
 
 
 def _parse_scope(text: str, source: Alphabet, digests: dict[str, str]):
@@ -295,16 +293,14 @@ def _parse_scope(text: str, source: Alphabet, digests: dict[str, str]):
     raise CliError(f"unknown scope {text!r}: use full, runs:<a>:<b>, or file:<path>")
 
 
-def cmd_decide_delay(args) -> str:
+def cmd_decide_delay(args) -> Result:
     parsed = parse_morphism(args.morphism, args.alphabet)
     scope = _parse_scope(args.scope, parsed.source, args.input_digests)
     verdict = decide_sync_finite_delay(parsed.morphism, scope)
-    if args.json:
-        return json.dumps(
-            {"synchronizing_with_finite_delay": verdict.synchronizing, "reason": verdict.reason},
-            sort_keys=True,
-        )
-    return f"synchronizing with finite delay: {'yes' if verdict.synchronizing else 'no'} ({verdict.reason})"
+    payload = {"synchronizing_with_finite_delay": verdict.synchronizing, "reason": verdict.reason}
+    return payload, lambda p: (
+        f"synchronizing with finite delay: {'yes' if p['synchronizing_with_finite_delay'] else 'no'} ({p['reason']})"
+    )
 
 
 def _csv_string(headers, rows) -> str:
@@ -339,47 +335,36 @@ def _table1_rows(parsed: ParsedMorphism, n: int) -> list[tuple]:
     return rows
 
 
-def cmd_sensitivity(args) -> str:
+def _sensitivity_summary(row: dict) -> str:
+    return (
+        f"n={row['n']} AS={row['as']} MS={row['ms_num']}/{row['ms_den']} "
+        f"as_witness={row['as_witness']} ms_witness={row['ms_witness']}"
+    )
+
+
+def cmd_sensitivity(args) -> Result:
     _require(not (args.table1 and args.json), "--table1 and --json cannot be combined")
     parsed = parse_morphism(args.morphism, args.alphabet)
     _require(args.n_from >= 2, "sensitivity starts at n=2")
     _require(args.n_to >= args.n_from, "--n-to must be at least --n-from")
     ns = range(args.n_from, args.n_to + 1)
-    rows = [sensitivity(parsed.morphism, n, include_constant_words=args.include_constants) for n in ns]
-    source = parsed.source
-    if args.table1:
-        lines = [" ".join(map(str, row)) for n in ns for row in _table1_rows(parsed, n)]
-        for row in rows:
-            lines.append(
-                f"n={row.n} AS={row.as_value} MS={_fraction_str(row.ms_value)} "
-                f"as_witness={source.render(row.as_witness)} ms_witness={source.render(row.ms_witness)}"
-            )
-        return "\n".join(lines)
-    if args.json:
-        payload = [
-            {
-                "n": row.n,
-                "as": row.as_value,
-                "ms_num": row.ms_value.numerator,
-                "ms_den": row.ms_value.denominator,
-                "as_witness": source.render(row.as_witness),
-                "ms_witness": source.render(row.ms_witness),
-            }
-            for row in rows
-        ]
-        return json.dumps(payload, sort_keys=True)
-    table = [
-        (
-            row.n,
-            row.as_value,
-            row.ms_value.numerator,
-            row.ms_value.denominator,
-            source.render(row.as_witness),
-            source.render(row.ms_witness),
-        )
-        for row in rows
+    render = parsed.source.render
+    rows = [
+        {
+            "n": row.n,
+            "as": row.as_value,
+            "ms_num": row.ms_value.numerator,
+            "ms_den": row.ms_value.denominator,
+            "as_witness": render(row.as_witness),
+            "ms_witness": render(row.ms_witness),
+        }
+        for row in (sensitivity(parsed.morphism, n, include_constant_words=args.include_constants) for n in ns)
     ]
-    return _csv_string(("n", "as", "ms_num", "ms_den", "as_witness", "ms_witness"), table)
+    if args.table1:
+        table = [" ".join(map(str, row)) for n in ns for row in _table1_rows(parsed, n)]
+        return rows, lambda payload: "\n".join(table + [_sensitivity_summary(row) for row in payload])
+    # The CSV columns are the keys of a row, in their order.
+    return rows, lambda payload: _csv_string(payload[0], (row.values() for row in payload))
 
 
 def _parse_range(text: str) -> range:
@@ -400,7 +385,7 @@ def _experiment_csv(table: ExperimentTable) -> str:
     return _csv_string(table.headers, rows)
 
 
-def cmd_experiment(args) -> str:
+def cmd_experiment(args) -> Result:
     ks = _parse_range(args.k)
     if args.kind == "rho":
         _require(args.p is not None and args.p > 1, "rho experiment needs --p greater than 1")
@@ -408,7 +393,7 @@ def cmd_experiment(args) -> str:
     else:
         _require(args.p is None, "fib-dollar experiment takes no --p")
         table = fibonacci_dollar_experiment(ks)
-    return _experiment_csv(table)
+    return table, _experiment_csv
 
 
 def _reproduce_table1() -> str:
@@ -473,8 +458,8 @@ _REPRODUCE = {
 }
 
 
-def cmd_reproduce(args) -> str:
-    return _REPRODUCE[args.target]()
+def cmd_reproduce(args) -> Result:
+    return _REPRODUCE[args.target](), str
 
 
 # Each subcommand by name: handler, summary, positionals, whether it reads
@@ -590,9 +575,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     args.input_digests = {}  # path -> sha256 of each input file the command reads
     try:
-        output = args.func(args)
-    except ValueError as exc:
+        payload, render = args.func(args)
+        output = json.dumps(payload, sort_keys=True) if getattr(args, "json", False) else render(payload)
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for a size, such as rho:10**21.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     try:
         print(output)

@@ -47,6 +47,10 @@ def test_inverse_bwt(capsys):
     code, out, _ = run_cli(capsys, "inverse-bwt", payload["bwt"], str(payload["index"]))
     assert code == 0
     assert out.strip() == "bcba"
+    code, out, _ = run_cli(capsys, "inverse-bwt", payload["bwt"], str(payload["index"]), "--json")
+    payload = json.loads(out)
+    validate(payload, "inverse-bwt.schema.json")
+    assert payload == {"bwt": "bcab", "index": 2, "word": "bcba"}
 
 
 def test_inverse_bwt_rejects_a_text_that_is_no_transform(capsys):
@@ -64,6 +68,28 @@ def test_apply_and_compose(capsys):
     assert (code, out.strip()) == (0, "")
     code, out, _ = run_cli(capsys, "compose", "period-doubling", "thue-morse")
     assert (code, out.strip()) == (0, "a=abaa,b=aaab")
+    code, out, _ = run_cli(capsys, "apply", "period-doubling", "aaaab", "--json")
+    payload = json.loads(out)
+    validate(payload, "apply.schema.json")
+    assert payload == {"word": "aaaab", "image": "ababababaa"}
+    # The text keeps the inner source order; JSON sorts the keys.
+    code, out, _ = run_cli(capsys, "compose", "thue-morse", "b=ab,a=b")
+    assert (code, out.strip()) == (0, "b=abba,a=ba")
+    code, out, _ = run_cli(capsys, "compose", "thue-morse", "b=ab,a=b", "--json")
+    assert out == '{"images": {"a": "ba", "b": "abba"}}\n'
+    validate(json.loads(out), "compose.schema.json")
+
+
+def test_compose_pairs_inner_images_with_outer_letters(capsys):
+    # Outer source b, a: the inner image aab reads as ba ba ab.
+    code, out, _ = run_cli(capsys, "compose", "b=ab,a=ba", "a=aab,b=abb")
+    assert (code, out.strip()) == (0, "a=babaab,b=baabab")
+    # A declared order (b < a) orders the target letters, not the pairing.
+    code, out, _ = run_cli(capsys, "compose", "thue-morse", "fibonacci", "--alphabet", "ba")
+    assert (code, out.strip()) == (0, "a=abba,b=ab")
+    # An inner image letter that the outer morphism does not map is an error.
+    code, out, err = run_cli(capsys, "compose", "c=ab,a=b", "thue-morse")
+    assert (code, out, err) == (1, "", "error: letter 'b' not in alphabet 'ca'\n")
 
 
 def test_dollar_alphabet(capsys):
@@ -343,6 +369,17 @@ def test_alphabet_over_256_letters_is_an_error(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "error: alphabet of 300 letters is over the 256 symbols a word can hold\n"
+
+
+def test_oversized_parameters_are_one_error_line(capsys):
+    # rho:p builds an image of p letters; 10**14 bytes fail to allocate at once.
+    code, out, err = run_cli(capsys, "apply", "rho:99999999999999", "ab")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    # A size over the largest index fails before anything is allocated, with
+    # the interpreter's OverflowError message.
+    for argv in (("apply", f"rho:{10**21}", "ab"), ("experiment", "fib-dollar", "--k", f"0..{10**21}")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_error_exit_codes(capsys):
