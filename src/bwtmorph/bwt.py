@@ -9,18 +9,41 @@ shift, which makes the primary index deterministic.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .words import Word, _require_nonempty
 
-# Above this length, rotation sorting switches from sorting the rotation rows
-# to cyclic prefix doubling; both orders are identical by construction. The
-# rows cost about 2n**2 bytes while they are cut (w**(n+1), then n rows of
-# n + 1 symbols), and on a 2-core x86-64 VM with Python 3.11 the row sort
-# stays faster up to about 1.7k symbols on random binary words and 2.8k on
-# Fibonacci-$ and periodic ones; 1024 keeps the rows near 2 MB.
+# Above this length, rotation sorting and run counting switch from sorting
+# the rotation rows to cyclic prefix doubling; both orders are identical by
+# construction. The rows cost about 2n**2 bytes while they are cut (w**(n+1),
+# then n rows of n + 1 symbols), and on a 2-core x86-64 VM with Python 3.11
+# the row sort stays faster up to about 1.7k symbols on random binary words
+# and 2.8k on Fibonacci-$ and periodic ones; 1024 keeps the rows near 2 MB.
 _SMALL_SORT_LIMIT = 1024
+
+# From this length up, run_count reads the last symbol of each sorted row
+# one by one instead of slicing it out of the rows' n(n + 1)-byte join,
+# which above glibc's 128 KB mmap threshold can be mapped and unmapped, and
+# page-faulted, on every call. Per call on 10 random binary words, in a
+# fresh process per length (2-core x86-64 VM, Python 3.11), join and slice
+# against one read per row:
+#     n      16      64     256     512     640     768    1024
+#   join    1.4     5.7    41.2   116.8   157.2   214.8  1321 us
+#   read    1.8     7.5    44.8   119.9   159.0   205.1   956 us
+_COLUMN_READ_FROM = 640
+
+
+@lru_cache(maxsize=64)
+def _row_cutter(n: int) -> Callable[[bytes], tuple[bytes, ...]]:
+    """The unpack of n fields of n + 1 bytes, built once per length.
+
+    The 64 lengths kept cover the 31 of a sensitivity sweep; a cutter holds
+    about 32 bytes per field, so the cache stays near 2 MB at most.
+    """
+    return struct.Struct(f"{n + 1}s" * n).unpack
 
 
 class BwtResult(NamedTuple):
@@ -49,7 +72,7 @@ def _rotation_rows(w: Word) -> tuple[bytes, ...]:
     rows stay equal, and a stable sort keeps them in shift order.
     """
     n = len(w)
-    return struct.unpack(f"{n + 1}s" * n, w * (n + 1))
+    return _row_cutter(n)(w * (n + 1))
 
 
 def _rotation_order_doubling(w: Word) -> list[int]:
@@ -139,20 +162,26 @@ def run_count(w: Word) -> int:
     p copies of each rotation of z are adjacent in the sorted order, so both
     have the same runs. The least i >= 1 at which w occurs in ww is
     |z|, as in `words.primitive_root`, and the first 2|z| symbols of ww are
-    zz. Up to the sort cutoff the rows of z (rotation j, then z[j]) are
-    sorted, which is the rotation order since the rotations of a primitive
-    word are distinct, and the last symbol of each rotation is read from
-    their join, one every |z| + 1 symbols. Above it the rotation order of z
-    indexes zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1]. Neighbours in the column
-    are equal exactly where the XOR of the column with itself shifted by one
-    has a zero byte, so the runs are |z| less that count.
+    zz. Up to the sort cutoff the rows of z (rotation j, then z[j]), cut
+    as in `_rotation_rows`, are sorted, which is the rotation order since
+    the rotations of a primitive word are distinct, and the column is the
+    last symbol of each rotation, byte |z| - 1 of each row: sliced from the
+    rows' join, or read row by row from `_COLUMN_READ_FROM` on. Above it
+    the rotation order of z indexes zz[|z| - 1 : 2|z| - 1] = z[-1] z[:-1].
+    Read as one big-endian integer x, the column c gives x ^ x >> 8, whose
+    byte i is c[i] ^ c[i - 1] for i >= 1, zero exactly where neighbours are
+    equal, so the runs are |z| less the zero bytes from byte 1 on.
     """
     _require_nonempty(w)
     doubled = w + w
     n = doubled.find(w, 1)
-    if n <= _SMALL_SORT_LIMIT:
-        column = b"".join(sorted(_rotation_rows(w[:n])))[n - 1 :: n + 1]
-    else:
+    if n > _SMALL_SORT_LIMIT:
         column = bytes(map(doubled[n - 1 : 2 * n - 1].__getitem__, rotation_order(w[:n])))
-    equal = int.from_bytes(column[1:], "big") ^ int.from_bytes(column[:-1], "big")
-    return n - equal.to_bytes(n - 1, "big").count(0)
+    else:
+        rows = sorted(_row_cutter(n)(w[:n] * (n + 1)))
+        if n < _COLUMN_READ_FROM:
+            column = b"".join(rows)[n - 1 :: n + 1]
+        else:
+            column = bytes(map(itemgetter(n - 1), rows))
+    x = int.from_bytes(column, "big")
+    return n - (x ^ x >> 8).to_bytes(n, "big").count(0, 1)

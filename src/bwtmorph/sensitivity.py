@@ -14,6 +14,7 @@ maximize over all of Sigma**n literally.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -54,11 +55,12 @@ def sensitivity(m: Morphism, n: int, include_constant_words: bool = False) -> Se
     num, den = 0, 1
     add_witness = mul_witness = b""
     skipped = frozenset() if include_constant_words else constant_words(sigma, n)
+    apply = m.apply
     for w in necklaces(sigma, n):
         if w in skipped:
             continue
         before = run_count(w)
-        after = run_count(m.apply(w))
+        after = run_count(apply(w))
         add = after - before
         if best_add is None or add > best_add:
             best_add, add_witness = add, w
@@ -93,6 +95,10 @@ def wk_word(k: int) -> Word:
     """
     if k <= 5:
         raise ValueError("the family is defined for k > 5")
+    # The two blocks of each i have 3i + 4 letters, the closing one k + 2.
+    length = (3 * k * k + 7 * k - 18) // 2
+    if length > sys.maxsize:
+        raise OverflowError(f"w_k for k = {k} has {length} letters, more than the largest size {sys.maxsize}")
     parts = []
     for i in range(2, k):
         parts.append(_A + _B * i + _A + _A)
@@ -120,7 +126,22 @@ def rho_experiment(p: int, ks: Iterable[int]) -> ExperimentTable:
 DOLLAR_FIBONACCI = Morphism((b"\x00", b"\x01\x02", b"\x01"))
 
 
+def _fibonacci_length(j: int) -> int:
+    """F(j + 2), the length of the j-th iterate of a, counted before building.
+
+    The count stops at the first length over the largest size, so a huge j
+    raises OverflowError after about 90 steps.
+    """
+    shorter, length = 1, 1
+    for _ in range(j):
+        shorter, length = length, shorter + length
+        if length > sys.maxsize:
+            raise OverflowError(f"the Fibonacci word of index {j} has more than {sys.maxsize} letters, the largest size")
+    return length
+
+
 def _fibonacci_word(j: int) -> Word:
+    _fibonacci_length(j)
     w = b"\x01"
     for _ in range(j):
         w = DOLLAR_FIBONACCI.apply(w)

@@ -146,7 +146,7 @@ def necklaces(size: int, n: int) -> Iterator[Word]:
 
 def _necklaces(size: int, n: int) -> Iterator[Word]:
     top = size - 1
-    a = [0] * n
+    a = bytearray(n)
     yield bytes(a)
     while True:
         i = n - 1
@@ -155,8 +155,11 @@ def _necklaces(size: int, n: int) -> Iterator[Word]:
         if i < 0:
             return
         a[i] += 1
-        p = i + 1
-        for j in range(p, n):
-            a[j] = a[j - p]
+        p = q = i + 1
+        # a[j] = a[j - p] for j >= p: the prefix a[:q] that already has
+        # period p is copied after itself, so q doubles with each slice.
+        while q < n:
+            a[q:] = a[: n - q]
+            q += q
         if n % p == 0:
             yield bytes(a)

@@ -9,6 +9,7 @@ from bwtmorph.bwt import (
     _SMALL_SORT_LIMIT,
     BwtResult,
     _rotation_order_doubling,
+    _row_cutter,
     bwt,
     inverse_bwt,
     rotation_order,
@@ -69,6 +70,24 @@ def test_rotation_kernel_matches_the_definitions(ternary, binary):
             words += [z, z * 2, bytes([255, 0]) * (n // 2) + z[: n % 2]]
     for word in words:
         assert rotation_order(word) == slice_order(word), word
+        assert run_count(word) == len(rle(brute_bwt(word)[0])), word
+
+
+def test_row_cutter_cache_serves_each_length_its_own_cutter():
+    # Lengths interleave, pass the cache's size, then come back to the first
+    # ones; each answer must still be the one of sorting the rotations. The
+    # run count is also checked at n = 1 and n = 2, where the XOR has no or
+    # one neighbour pair.
+    held = _row_cutter.cache_info().maxsize
+    lengths = [5, 7, 5, _SMALL_SORT_LIMIT, 3, 7, 1, 2, 1]
+    lengths += list(range(8, 8 + held + 4)) + [5, 7, _SMALL_SORT_LIMIT, 3, 2, 1]
+    assert len(set(lengths)) > held
+    rng = random.Random(10)
+    for n in lengths:
+        for word in (bytes(rng.randrange(3) for _ in range(n)), bytes(rng.randrange(2) for _ in range(n))):
+            assert rotation_order(word) == slice_order(word), word
+            assert run_count(word) == len(rle(brute_bwt(word)[0])), word
+    for word in (b"\x00", b"\x05", b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x00\xff"):
         assert run_count(word) == len(rle(brute_bwt(word)[0])), word
 
 

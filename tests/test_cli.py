@@ -382,6 +382,15 @@ def test_oversized_parameters_are_one_error_line(capsys):
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_experiment_words_over_the_largest_size_are_one_error_line(capsys):
+    # The word lengths are computed before the words are built, so these
+    # end at once instead of growing until the process is killed.
+    big = 10**21
+    for argv in (("rho", "--p", "2", "--k", f"{big}..{big + 1}"), ("fib-dollar", "--k", f"{big}..{big}")):
+        code, out, err = run_cli(capsys, "experiment", *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "bwt", "")
     assert code == 1 and "error:" in err

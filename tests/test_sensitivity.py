@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -22,6 +23,8 @@ from bwtmorph.morphisms import (
 )
 from bwtmorph.sensitivity import (
     DOLLAR_FIBONACCI,
+    _fibonacci_length,
+    _fibonacci_word,
     fibonacci_dollar_experiment,
     is_bwt_run_preserving,
     rho_experiment,
@@ -219,6 +222,26 @@ def test_wk_word():
         assert runs.count(k) == 1
     with pytest.raises(ValueError):
         wk_word(5)
+
+
+def test_word_lengths_are_known_before_the_words_are_built():
+    # The closed form of the length, and a word over the largest size fails
+    # before a letter of it is built.
+    for k in range(6, 31):
+        assert len(wk_word(k)) == (3 * k * k + 7 * k - 18) // 2
+    assert len(wk_word(30)) == 1446
+    with pytest.raises(OverflowError):
+        wk_word(10**21)
+    fib = [1, 2]
+    while fib[-1] <= sys.maxsize:
+        fib.append(fib[-2] + fib[-1])
+    # fib[j] is F(j + 2); the last entry is the first over the largest size.
+    for j in range(12):
+        assert _fibonacci_length(j) == fib[j] == len(_fibonacci_word(j))
+    assert _fibonacci_length(len(fib) - 2) == fib[-2]
+    for j in (len(fib) - 1, 10**21):
+        with pytest.raises(OverflowError):
+            _fibonacci_length(j)
 
 
 def test_rho_experiment_growth():

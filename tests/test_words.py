@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,26 @@ def test_necklace_counts():
     assert len(list(necklaces(2, 5))) == 8
     # Burnside: (1/6) * sum over d | 6 of phi(6/d) * 2^d = 14.
     assert len(list(necklaces(2, 6))) == 14
+
+
+def burnside_necklace_count(size, n):
+    # (1/n) * sum over d | n of phi(d) * size^(n/d), phi counted by gcd.
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi = sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+            total += phi * size ** (n // d)
+    assert total % n == 0
+    return total // n
+
+
+def test_necklace_counts_match_burnside_over_the_sweep_range():
+    # The sensitivity sweep reaches binary n <= 16 and ternary n <= 9.
+    for size, longest in ((2, 16), (3, 9)):
+        for n in range(1, longest + 1):
+            assert len(list(necklaces(size, n))) == burnside_necklace_count(size, n), (size, n)
+    for n in range(1, 17):
+        assert list(necklaces(1, n)) == [bytes(n)]
 
 
 def test_necklaces_partition_binary_words():
