@@ -38,6 +38,7 @@ from .morphisms import (
     parse_morphism,
 )
 from .primitivity import (
+    PowerWordClassification,
     classify_holub_form,
     is_primitivity_preserving,
     is_recognizable,
@@ -127,10 +128,9 @@ def cmd_compose(args) -> Result:
     return {"images": images}, lambda p: ",".join(f"{a}={img}" for a, img in p["images"].items())
 
 
-def _power_words(parsed: ParsedMorphism) -> dict:
-    """The `mu-powers` payload; `classify` reports it under `power_`-prefixed keys."""
-    m, source, target = parsed
-    cls = power_words(m)
+def _power_words(cls: PowerWordClassification, parsed: ParsedMorphism) -> dict:
+    """The `mu-powers` payload of `power_words(m)`; `classify` reports it under `power_`-prefixed keys."""
+    _, source, target = parsed
     return {
         "case": cls.case.value,
         "letters": [source.letters[c] for c in cls.letter_witnesses],
@@ -143,19 +143,20 @@ def _power_words(parsed: ParsedMorphism) -> dict:
 def _classification(parsed: ParsedMorphism) -> dict:
     m, source, target = parsed
     _require(m.is_binary(), "classification requires a binary source alphabet")
-    out: dict = {"injective": is_injective_binary(m)}
+    # Binary images commute iff they share one primitive root.
     z = is_cyclic(m)
-    out["cyclic"] = target.render(z) if z is not None else None
-    if not out["injective"]:
+    out: dict = {"injective": z is None, "cyclic": target.render(z) if z is not None else None}
+    if z is not None:
         return out
     out["order_class"] = abelian_order_class(m).value
     out["bifix_status"] = bifix_status(m).value
     out["sturmian"] = is_sturmian(m)
-    verdict = is_primitivity_preserving(m)
+    cls = power_words(m)
+    verdict = is_primitivity_preserving(cls)
     out["primitivity_preserving"] = verdict.preserving
     out["pp_witness"] = source.render(verdict.witness) if verdict.witness else None
-    out.update((f"power_{key}", value) for key, value in _power_words(parsed).items())
-    form = classify_holub_form(m)
+    out.update((f"power_{key}", value) for key, value in _power_words(cls, parsed).items())
+    form = classify_holub_form(cls)
     if form is None:
         out["holub_form"] = None
     else:
@@ -165,7 +166,7 @@ def _classification(parsed: ParsedMorphism) -> dict:
             "q": target.render(form.q),
             "exponents": form.exponents,
         }
-    rec = is_recognizable(m)
+    rec = is_recognizable(cls)
     out["recognizable"] = rec.recognizable
     out["recognizable_reason"] = rec.reason
     return out
@@ -219,7 +220,7 @@ def cmd_mu_powers(args) -> Result:
     m = parsed.morphism
     _require(m.is_binary(), "power-word classification requires a binary source alphabet")
     _require(is_injective_binary(m), "power-word classification requires an injective morphism")
-    return _power_words(parsed), _power_words_text
+    return _power_words(power_words(m), parsed), _power_words_text
 
 
 def _sync_text(payload: dict) -> str:
@@ -417,7 +418,7 @@ def _reproduce_figures() -> str:
         w = parsed.source.word(word)
         facts = circular_factorizations(w, parsed.morphism)
         counts.append(len(facts))
-        rec = is_recognizable(parsed.morphism)
+        rec = is_recognizable(power_words(parsed.morphism))
         tau_split = factor_through_tau(parsed.morphism)
         psi = format_morphism(tau_split, parsed.source, parsed.target) if tau_split else "none"
         lines.append(

@@ -123,9 +123,7 @@ def abelian_order_class(m: Morphism) -> OrderClass:
     A binary acyclic morphism always does one or the other, so comparing the
     images of ab and ba decides the class.
     """
-    _require_binary(m)
-    if is_cyclic(m) is not None:
-        raise ValueError("order class is defined only for acyclic morphisms")
+    _require_injective(m)
     u, v = m.images
     return OrderClass.PRESERVING if u + v < v + u else OrderClass.REVERSING
 

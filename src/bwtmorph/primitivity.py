@@ -4,8 +4,9 @@ The preservation test is finite: orient the images so the longer one comes
 first, then the only exponent pairs (l, m) that can make u**l v**m a power
 are (2, 1) and (1, m) with m at most (|u| - 4) / |v| + 2. The candidates
 (1, m) are the prefixes of one word, so one prefix-function pass checks them
-all in time linear in the size of the morphism. That scan, `_first_power`,
-is the one analysis that the verdict, power words and Holub form read.
+all in time linear in the size of the morphism. That scan is `power_words`,
+the one analysis of a morphism: the preservation verdict, the Holub form and
+recognizability take its `PowerWordClassification` and read it.
 """
 
 from __future__ import annotations
@@ -15,46 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .morphisms import Morphism, _require_injective
-from .words import PrimitiveRoot, Word, is_primitive, primitive_root
-
-
-def _first_power(m: Morphism) -> tuple[tuple[Word, Word], tuple[tuple[int, int], Word, PrimitiveRoot] | None]:
-    """Holub's exponent scan: the oriented images and the first candidate u**l v**j that is a power.
-
-    The morphism must be injective. The images are oriented so that u is the
-    longer (u first on a tie); the pairs are (2, 1), then (1, j) for j up to
-    J = (|u| - 4) / |v| + 2. Each u v**j is the prefix of length
-    L = |u| + j|v| of u v**J, and one prefix-function pass (Knuth, Morris and
-    Pratt) gives every prefix its longest proper border k: the prefix is a
-    power iff k > 0 and L - k, its least period, divides L. A hit is the pair,
-    the canonical rotation of the source word whose image is the candidate,
-    and the primitive root of that image; None when every candidate is primitive.
-    """
-    _require_injective(m)
-    u, v = m.images
-    x, y = 0, 1
-    if len(u) < len(v):
-        u, v, x, y = v, u, 1, 0
-    # The formula can go below 1 for short images; (1, 1) is always checked.
-    bound = max(1, (len(u) - 4) // len(v) + 2)
-    s = u + v * bound
-    border = [0, 0]  # border[L]: the longest proper border of s[:L]
-    k = 0
-    for c in s[1:]:
-        while k and c != s[k]:
-            k = border[k]
-        if c == s[k]:
-            k += 1
-        border.append(k)
-    ends = range(len(u) + len(v), len(s) + 1, len(v))
-    powers = ((1, j) for j, end in enumerate(ends, 1) if border[end] and end % (end - border[end]) == 0)
-    pair = (2, 1) if not is_primitive(u + u + v) else next(powers, None)
-    if pair is None:
-        return (u, v), None
-    # x**l y**j has two runs, and its least rotation starts at one of them.
-    head, tail = bytes([x]) * pair[0], bytes([y]) * pair[1]
-    witness = min(head + tail, tail + head)
-    return (u, v), (pair, witness, primitive_root(m.apply(witness)))
+from .words import Word, is_primitive, primitive_root
 
 
 class PowerCase(Enum):
@@ -69,30 +31,68 @@ class PowerCase(Enum):
 
 @dataclass(frozen=True)
 class PowerWordClassification:
+    """The primitive words mapped to powers, and the scan that found them.
+
+    `images` are the oriented images (u, v), the longer first; `pair` is the
+    exponent pair (l, j) of the first power u**l v**j of Holub's test set,
+    whose source word's least rotation is `rotation_witness` and whose image
+    is z**k. These four are None when every candidate is primitive.
+    """
+
     case: PowerCase
     letter_witnesses: tuple[int, ...]
     rotation_witness: Word | None
     z: Word | None
     k: int | None
+    images: tuple[Word, Word]
+    pair: tuple[int, int] | None
+
+
+_LETTER_CASES = (PowerCase.PRESERVING, PowerCase.ONE_LETTER_POWER, PowerCase.TWO_LETTER_POWERS)
 
 
 def power_words(m: Morphism) -> PowerWordClassification:
-    """Exact description of the primitive words whose image under m is a power."""
-    _, hit = _first_power(m)
+    """Exact description of the primitive words whose image under m is a power.
+
+    The morphism must be injective. Holub's exponent scan orients the images
+    so that u is the longer (u first on a tie) and tests the pairs (2, 1),
+    then (1, j) for j up to J = (|u| - 4) / |v| + 2. Each u v**j is the
+    prefix of length L = |u| + j|v| of u v**J, and one prefix-function pass
+    (Knuth, Morris and Pratt) gives every prefix its longest proper border b:
+    the prefix is a power iff b > 0 and L - b, its least period, divides L.
+    The first hit, if any, is the rotation class; the letters whose own
+    images are powers complete the set.
+    """
+    _require_injective(m)
+    u, v = m.images
+    x, y = 0, 1
+    if len(u) < len(v):
+        u, v, x, y = v, u, 1, 0
+    # The formula can go below 1 for short images; (1, 1) is always checked.
+    bound = max(1, (len(u) - 4) // len(v) + 2)
+    s = u + v * bound
+    border = [0, 0]  # border[L]: the longest proper border of s[:L]
+    b = 0
+    for c in s[1:]:
+        while b and c != s[b]:
+            b = border[b]
+        if c == s[b]:
+            b += 1
+        border.append(b)
+    ends = range(len(u) + len(v), len(s) + 1, len(v))
+    powers = ((1, j) for j, end in enumerate(ends, 1) if border[end] and end % (end - border[end]) == 0)
+    pair = (2, 1) if not is_primitive(u + u + v) else next(powers, None)
     letters = tuple(c for c, image in enumerate(m.images) if not is_primitive(image))
-    if hit is None:
-        if not letters:
-            case = PowerCase.PRESERVING
-        elif len(letters) == 1:
-            case = PowerCase.ONE_LETTER_POWER
-        else:
-            case = PowerCase.TWO_LETTER_POWERS
-        return PowerWordClassification(case, letters, None, None, None)
+    if pair is None:
+        return PowerWordClassification(_LETTER_CASES[len(letters)], letters, None, None, None, (u, v), None)
     if len(letters) > 1:
         raise AssertionError("a power among the mixed candidates excludes two non-primitive images")
     case = PowerCase.ROTATION_CLASS_PLUS_LETTER if letters else PowerCase.ROTATION_CLASS
-    _, witness, (z, k) = hit
-    return PowerWordClassification(case, letters, witness, z, k)
+    # x**l y**j has two runs, and its least rotation starts at one of them.
+    head, tail = bytes([x]) * pair[0], bytes([y]) * pair[1]
+    witness = min(head + tail, tail + head)
+    z, k = primitive_root(m.apply(witness))
+    return PowerWordClassification(case, letters, witness, z, k, (u, v), pair)
 
 
 class PpVerdict(NamedTuple):
@@ -100,14 +100,13 @@ class PpVerdict(NamedTuple):
     witness: Word | None
 
 
-def is_primitivity_preserving(m: Morphism) -> PpVerdict:
-    """Decide whether every primitive word keeps a primitive image.
+def is_primitivity_preserving(cls: PowerWordClassification) -> PpVerdict:
+    """Decide whether every primitive word keeps a primitive image, from `power_words(m)`.
 
     On failure the witness is a primitive word whose image is a power:
     a letter when its own image is a power, otherwise the canonical
     rotation of the word found by the finite exponent scan.
     """
-    cls = power_words(m)
     if cls.letter_witnesses:
         return PpVerdict(False, bytes(cls.letter_witnesses[:1]))
     return PpVerdict(cls.case is PowerCase.PRESERVING, cls.rotation_witness)
@@ -137,8 +136,8 @@ class HolubForm:
         raise ValueError(f"no case {self.case_index}")
 
 
-def classify_holub_form(m: Morphism) -> HolubForm | None:
-    """Read the parametric form of the oriented images off the power that the scan finds.
+def classify_holub_form(cls: PowerWordClassification) -> HolubForm | None:
+    """Read the parametric form of the oriented images off the power that `power_words` finds.
 
     None when the scan finds no power: for preserving morphisms and for those
     whose only failures are letter images. The hit's pair (l, j) fixes the
@@ -156,10 +155,9 @@ def classify_holub_form(m: Morphism) -> HolubForm | None:
     parameters in increasing order, which the tests keep as the oracle.
     Holub's theorem says that the form exists; the rebuild check guards that.
     """
-    (u, v), hit = _first_power(m)
-    if hit is None:
+    if cls.pair is None:
         return None
-    (l, j), _, (_, k) = hit
+    (u, v), (l, j), k = cls.images, cls.pair, cls.k
     d = next(i for i in range(2, k + 1) if k % i == 0)
     s = (l * len(u) + j * len(v)) // d
     if (l, j) == (2, 1):
@@ -192,16 +190,15 @@ class RecognizabilityVerdict(NamedTuple):
     reason: str
 
 
-def is_recognizable(m: Morphism) -> RecognizabilityVerdict:
-    """Whether every image admits a unique circular factorization into codewords.
+def is_recognizable(cls: PowerWordClassification) -> RecognizabilityVerdict:
+    """Whether every image admits a unique circular factorization into codewords, from `power_words(m)`.
 
     Preserving morphisms are recognizable exactly when the two images are
     not conjugate; a non-preserving morphism never is, because arbitrarily
     large powers of its witness words all map into single rotation classes.
     """
-    verdict = is_primitivity_preserving(m)
-    if not verdict.preserving:
+    if not is_primitivity_preserving(cls).preserving:
         return RecognizabilityVerdict(False, "not primitivity-preserving")
-    if are_conjugates(*m.images):
+    if are_conjugates(*cls.images):
         return RecognizabilityVerdict(False, "conjugate images")
     return RecognizabilityVerdict(True, "primitivity-preserving with non-conjugate images")

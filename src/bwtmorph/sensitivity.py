@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .bwt import run_count
 from .morphisms import Morphism, is_cyclic, rho
-from .primitivity import is_primitivity_preserving
+from .primitivity import is_primitivity_preserving, power_words
 from .words import Word, constant_words, necklaces
 
 
@@ -81,7 +81,7 @@ def is_bwt_run_preserving(m: Morphism) -> bool:
         raise ValueError("run preservation is decided for binary morphisms only")
     if is_cyclic(m) is not None:
         return True
-    return is_primitivity_preserving(m).preserving
+    return is_primitivity_preserving(power_words(m)).preserving
 
 
 _A, _B = b"\x00", b"\x01"

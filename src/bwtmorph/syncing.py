@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .morphisms import Morphism, _require_injective
-from .primitivity import PowerCase, are_conjugates, power_words
+from .primitivity import PowerCase, is_recognizable, power_words
 from .words import Word
 
 
@@ -185,10 +185,10 @@ def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:
     circularly in the scope.
     """
     cls = power_words(m)
-    preserving = cls.case is PowerCase.PRESERVING
-    # Recognizable: preserving with non-conjugate images, as in is_recognizable.
-    if preserving and not are_conjugates(*m.images):
+    if is_recognizable(cls).recognizable:
         return SyncVerdict(True, "recognizable, so synchronizing with finite delay on every scope")
+    # Not recognizable: a preserving morphism has conjugate images.
+    preserving = cls.case is PowerCase.PRESERVING
     if isinstance(scope, FiniteList):
         # A finite list bounds the circular runs of both letters, so the
         # conjugate-image verdict names the first one, a.

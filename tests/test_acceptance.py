@@ -120,10 +120,10 @@ def test_criterion_05_square_root_growth(capsys):
 
 def test_criterion_06_classification_fixtures(capsys):
     with budget(1.0) as timer:
-        assert is_primitivity_preserving(THUE_MORSE).preserving
-        assert is_primitivity_preserving(bm("abaa", "aaab")).preserving
+        assert is_primitivity_preserving(power_words(THUE_MORSE)).preserving
+        assert is_primitivity_preserving(power_words(bm("abaa", "aaab"))).preserving
         for m in (FIBONACCI, FIBONACCI_TILDE, EXCHANGE, compose(FIBONACCI, FIBONACCI_TILDE), compose(EXCHANGE, FIBONACCI)):
-            assert is_primitivity_preserving(m).preserving
+            assert is_primitivity_preserving(power_words(m)).preserving
         expected_witnesses = [
             (bm("ab", "aa"), "b"),
             (bm("a", "bab"), "ab"),
@@ -131,7 +131,7 @@ def test_criterion_06_classification_fixtures(capsys):
             (bm("ba", "ababaa"), "aab"),
         ]
         for m, witness in expected_witnesses:
-            verdict = is_primitivity_preserving(m)
+            verdict = is_primitivity_preserving(power_words(m))
             assert not verdict.preserving
             assert verdict.witness == w(witness), (m.images, verdict)
             assert not is_primitive(m.apply(verdict.witness))
@@ -139,10 +139,10 @@ def test_criterion_06_classification_fixtures(capsys):
         # The word ab cannot witness anything here: its image ababbaba is
         # primitive. (aba, b), whose image of ab is (ab)^2, is checked too.
         squares = bm("abab", "baba")
-        verdict = is_primitivity_preserving(squares)
+        verdict = is_primitivity_preserving(power_words(squares))
         assert (verdict.preserving, verdict.witness) == (False, w("a"))
         assert is_primitive(squares.apply(w("ab")))
-        verdict = is_primitivity_preserving(bm("aba", "b"))
+        verdict = is_primitivity_preserving(power_words(bm("aba", "b")))
         assert (verdict.preserving, verdict.witness) == (False, w("ab"))
     with capsys.disabled():
         report(6, f"all preservation fixtures and witnesses check out ({timer.elapsed:.2f}s)")
@@ -185,7 +185,7 @@ def test_criterion_07_exhaustive_oracle_equivalence(capsys):
                                 oracle_witness = rep
                                 break
                         m = Morphism((BINARY.word(u), BINARY.word(v)))
-                        verdict = is_primitivity_preserving(m)
+                        verdict = is_primitivity_preserving(power_words(m))
                         assert verdict.preserving == (oracle_witness is None), (u, v, oracle_witness)
                         if not verdict.preserving:
                             assert is_primitive(verdict.witness)
@@ -201,11 +201,11 @@ def test_criterion_08_recognizability_fixtures(capsys):
     with budget(1.0) as timer:
         m1, m2 = bm("baa", "abb"), bm("baa", "aba")
         assert len(circular_factorizations(w("baaabbabbbaa"), m1)) == 1
-        assert is_recognizable(m1).recognizable
+        assert is_recognizable(power_words(m1)).recognizable
         assert len(circular_factorizations(w("baabaabaabaa"), m2)) == 2
-        assert not is_recognizable(m2).recognizable
+        assert not is_recognizable(power_words(m2)).recognizable
         assert len(circular_factorizations(w("ab") * 6, THUE_MORSE)) == 2
-        assert not is_recognizable(THUE_MORSE).recognizable
+        assert not is_recognizable(power_words(THUE_MORSE)).recognizable
         psi = factor_through_tau(m2)
         assert psi is not None and psi.images == (w("ba"), w("a"))
         psi = factor_through_tau(THUE_MORSE)
@@ -226,7 +226,7 @@ def test_criterion_09_synchronization(capsys):
         assert decide_sync_finite_delay(THUE_MORSE, BoundedLetterRuns(2, 2)).synchronizing
         full = decide_sync_finite_delay(THUE_MORSE, FULL_BINARY).synchronizing
         assert full is False
-        assert full == is_recognizable(THUE_MORSE).recognizable
+        assert full == is_recognizable(power_words(THUE_MORSE)).recognizable
     with capsys.disabled():
         report(9, f"delays 2n+1, threshold at 5 for tau(abbaab), scope dichotomy ({timer.elapsed:.1f}s)")
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from bwtmorph import cli
 from bwtmorph.cli import main
+from helpers import SLOW
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "bwtmorph", "schemas")
 
@@ -69,6 +70,8 @@ scopes = st.one_of(
     st.builds("runs:{}:{}".format, st.one_of(small, st.sampled_from(("inf", "x", ""))), st.one_of(small, st.just("inf"))),
     st.sampled_from((f"file:{DIR}/scope.txt", "file:", "file:no/such/file", "runs:1", "none")),
 )
+# experiment builds one word per k, so ranges stay small. The large range
+# has more elements than the largest index, so it fails before any word.
 k_ranges = st.one_of(
     small,
     st.builds("{}..{}".format, st.integers(-1, 8), st.integers(-1, 8)),
@@ -143,9 +146,7 @@ def test_generators_cover_every_subcommand_and_schema():
     assert schemas == {name for name, row in cli._COMMANDS.items() if row[3]}
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_every_argv_answers_errs_or_shows_usage(workdir, argv):
+def check_answer(workdir, argv):
     argv = [token.replace(DIR, workdir) for token in argv]
     code, out, err = call(argv)
     if code == 0:
@@ -160,6 +161,21 @@ def test_every_argv_answers_errs_or_shows_usage(workdir, argv):
     else:
         # --help and --version print to stdout and exit 0.
         assert code == ("exit", 0) and out and not err
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_argv_answers_errs_or_shows_usage(workdir, argv):
+    check_answer(workdir, argv)
+
+
+# The same generator and property over 5 000 argvs (under a minute); CI runs
+# it on one Python version.
+@SLOW
+@settings(max_examples=5000, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_argv_answers_errs_or_shows_usage_at_scale(workdir, argv):
+    check_answer(workdir, argv)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -144,7 +145,7 @@ def test_holub_test_set_examples():
     assert (u, v) == (w("abba"), w("b"))
     assert pairs == [(2, 1), (1, 1), (1, 2)]
     assert not is_primitive(u + v * 2)
-    assert is_primitivity_preserving(bm("abba", "b")).witness == w("abb")
+    assert is_primitivity_preserving(power_words(bm("abba", "b"))).witness == w("abb")
 
     u, v, pairs = holub_candidates(*THUE_MORSE.images)
     assert pairs == [(2, 1), (1, 1)]
@@ -154,12 +155,12 @@ def test_holub_test_set_examples():
     u, v, pairs = holub_candidates(w("ba"), w("ababaa"))
     assert (u, v) == (w("ababaa"), w("ba"))
     assert not is_primitive(u + v * 2)
-    assert is_primitivity_preserving(bm("ba", "ababaa")).witness == w("aab")
+    assert is_primitivity_preserving(power_words(bm("ba", "ababaa"))).witness == w("aab")
 
 
 def test_is_primitivity_preserving_fixtures():
-    assert is_primitivity_preserving(THUE_MORSE) == (True, None)
-    assert is_primitivity_preserving(bm("abaa", "aaab")) == (True, None)
+    assert is_primitivity_preserving(power_words(THUE_MORSE)) == (True, None)
+    assert is_primitivity_preserving(power_words(bm("abaa", "aaab"))) == (True, None)
     for text, witness in [
         ("ab,aa", "b"),
         ("a,bab", "ab"),
@@ -168,16 +169,16 @@ def test_is_primitivity_preserving_fixtures():
         ("aba,b", "ab"),
     ]:
         m = bm(*text.split(","))
-        verdict = is_primitivity_preserving(m)
+        verdict = is_primitivity_preserving(power_words(m))
         assert not verdict.preserving
         assert verdict.witness == w(witness)
         assert is_primitive(verdict.witness)
         assert not is_primitive(m.apply(verdict.witness))
     # Both images are squares here, so the letters themselves witness failure.
-    verdict = is_primitivity_preserving(bm("abab", "baba"))
+    verdict = is_primitivity_preserving(power_words(bm("abab", "baba")))
     assert (verdict.preserving, verdict.witness) == (False, w("a"))
     with pytest.raises(ValueError):
-        is_primitivity_preserving(bm("ab", "abab"))
+        is_primitivity_preserving(power_words(bm("ab", "abab")))
 
 
 def test_power_words_fixtures():
@@ -198,6 +199,18 @@ def test_power_words_fixtures():
     cls = power_words(bm("abab", "baba"))
     assert cls.case == PowerCase.TWO_LETTER_POWERS
     assert cls.letter_witnesses == (0, 1)
+
+    # The images are oriented the longer first, the first on a tie, and the
+    # pair is the exponents of the first power u**l v**j that the scan finds.
+    for u, v, images, pair in [
+        ("ba", "ababaa", ("ababaa", "ba"), (1, 2)),
+        ("a", "bab", ("bab", "a"), (1, 1)),
+        ("aba", "bab", ("aba", "bab"), (1, 1)),
+        ("bab", "aba", ("bab", "aba"), (1, 1)),
+        ("ab", "ba", ("ab", "ba"), None),
+    ]:
+        cls = power_words(bm(u, v))
+        assert (cls.images, cls.pair) == (tuple(map(w, images)), pair), (u, v)
 
 
 def test_power_words_members_are_sound():
@@ -232,28 +245,28 @@ def test_at_most_one_power_among_candidates():
 
 
 def test_classify_holub_form_examples():
-    form = classify_holub_form(bm("a", "bab"))
+    form = classify_holub_form(power_words(bm("a", "bab")))
     assert form is not None
     assert (form.case_index, form.p, form.q) == (1, w("b"), w("a"))
     assert form.exponents == {"m": 1, "n": 0}
 
-    form = classify_holub_form(bm("abba", "b"))
+    form = classify_holub_form(power_words(bm("abba", "b")))
     assert form is not None
     assert (form.case_index, form.p, form.q) == (2, w("a"), w("b"))
     assert form.exponents == {"m": 1, "n": 2}
 
-    form = classify_holub_form(bm("abbababbabababbababba", "babab"))
+    form = classify_holub_form(power_words(bm("abbababbabababbababba", "babab")))
     assert form is not None
     assert (form.case_index, form.p, form.q) == (3, w("a"), w("b"))
     assert form.exponents == {"k": 3, "m": 2, "n": 1}
 
-    form = classify_holub_form(bm("abbabbabbabba", "bbaabb"))
+    form = classify_holub_form(power_words(bm("abbabbabbabba", "bbaabb")))
     assert form is not None
     assert (form.case_index, form.p, form.q) == (4, w("a"), w("bb"))
     assert form.exponents == {"m": 4}
 
-    assert classify_holub_form(THUE_MORSE) is None
-    assert classify_holub_form(PERIOD_DOUBLING) is None
+    assert classify_holub_form(power_words(THUE_MORSE)) is None
+    assert classify_holub_form(power_words(PERIOD_DOUBLING)) is None
 
 
 def test_classify_holub_form_parametric_families():
@@ -266,14 +279,14 @@ def test_classify_holub_form_parametric_families():
     case4 = ((p + q) * 3 + p, q + p + p + q)
     for u, v in (case1, case2, case3, case4):
         m = Morphism((u, v))
-        form = classify_holub_form(m)
+        form = classify_holub_form(power_words(m))
         assert form is not None, (u, v)
         assert form.rebuild() == holub_candidates(u, v)[:2]
         assert not commute(form.p, form.q)
     # A 20 001-letter v of case 3: its parameters are read off the power
     # that the scan finds, in time linear in |u| + |v|.
     long3 = HolubForm(3, p, q, {"k": 3, "m": 10000, "n": 1})
-    assert classify_holub_form(Morphism(long3.rebuild())) == long3
+    assert classify_holub_form(power_words(Morphism(long3.rebuild()))) == long3
 
 
 # (pairs, forms) per size: every injective image pair of that total size at
@@ -287,7 +300,7 @@ def test_classify_holub_form_equals_the_search(max_size):
     pairs = forms = 0
     for u, v in injective_image_pairs(max_size):
         pairs += 1
-        form = classify_holub_form(Morphism((u, v)))
+        form = classify_holub_form(power_words(Morphism((u, v))))
         assert form == holub_form_search(u, v), (u, v)
         if form is not None:
             forms += 1
@@ -315,7 +328,7 @@ def test_classify_holub_form_on_random_family_members():
         if commute(p, q) or commute(u, v):
             continue
         checked += 1
-        form = classify_holub_form(Morphism((u, v)))
+        form = classify_holub_form(power_words(Morphism((u, v))))
         assert form is not None and form == holub_form_search(u, v), (u, v)
 
 
@@ -336,9 +349,11 @@ def test_readers_equal_the_candidate_loop_exhaustively():
         m = Morphism((u, v))
         big, small, hit = first_hit(u, v)
         letters = tuple(c for c, image in enumerate((u, v)) if not is_primitive(image))
-        cls, verdict, form = power_words(m), is_primitivity_preserving(m), classify_holub_form(m)
+        cls = power_words(m)
+        verdict, form = is_primitivity_preserving(cls), classify_holub_form(cls)
         if hit is None:
-            assert cls == PowerWordClassification(letter_cases[len(letters)], letters, None, None, None), (u, v)
+            expected = PowerWordClassification(letter_cases[len(letters)], letters, None, None, None, (big, small), None)
+            assert cls == expected, (u, v)
             assert form is None, (u, v)
             witness = None
         else:
@@ -346,7 +361,8 @@ def test_readers_equal_the_candidate_loop_exhaustively():
             x, y = (w("b"), w("a")) if len(u) < len(v) else (w("a"), w("b"))
             witness = canonical_rotation(x * l + y * j)
             case = PowerCase.ROTATION_CLASS_PLUS_LETTER if letters else PowerCase.ROTATION_CLASS
-            assert cls == PowerWordClassification(case, letters, witness, *primitive_root(m.apply(witness))), (u, v)
+            z, k = primitive_root(m.apply(witness))
+            assert cls == PowerWordClassification(case, letters, witness, z, k, (big, small), hit), (u, v)
             assert form is not None and form.rebuild() == (big, small), (u, v)
             assert form.case_index in holub_cases.get(hit, (2, 3)), (u, v)
         witness = bytes(letters[:1]) if letters else witness
@@ -376,6 +392,37 @@ def test_classify_on_long_images(capsys):
     assert out["holub_form"] == {"case": 1, "exponents": {"m": 1, "n": 0}, "p": "ab" * 4999 + "a", "q": "b"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "a=abaa,b=aaab", "--json"],
+        ["classify", "a=a,b=bab"],
+        ["mu-powers", "a=a,b=bab", "--json"],
+        ["decide-delay", "a=ab,b=aa", "--scope", "runs:2:inf"],
+        ["decide-delay", "a=baa,b=aba", "--scope", "full", "--json"],
+    ],
+)
+def test_one_power_words_call_per_command(monkeypatch, capsys, argv):
+    # Holub's scan runs once per call: every module of the package that binds
+    # power_words gets a counting wrapper, the readers included.
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return power_words(m)
+
+    modules = [
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "bwtmorph" and vars(module).get("power_words") is power_words
+    ]
+    assert {"bwtmorph.cli", "bwtmorph.primitivity", "bwtmorph.syncing"} <= set(modules)
+    for name in modules:
+        monkeypatch.setattr(sys.modules[name], "power_words", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1, argv
+
+
 def test_are_conjugates():
     assert are_conjugates(w("baa"), w("aba"))
     assert not are_conjugates(w("baa"), w("abb"))
@@ -386,16 +433,17 @@ def test_are_conjugates():
 
 
 def test_is_recognizable():
-    assert is_recognizable(bm("baa", "abb")) == (True, "primitivity-preserving with non-conjugate images")
-    verdict = is_recognizable(bm("baa", "aba"))
+    assert is_recognizable(power_words(bm("baa", "abb"))) == (True, "primitivity-preserving with non-conjugate images")
+    verdict = is_recognizable(power_words(bm("baa", "aba")))
     assert (verdict.recognizable, verdict.reason) == (False, "conjugate images")
-    verdict = is_recognizable(PERIOD_DOUBLING)
+    verdict = is_recognizable(power_words(PERIOD_DOUBLING))
     assert (verdict.recognizable, verdict.reason) == (False, "not primitivity-preserving")
     # Recognizable implies primitivity-preserving on every small morphism.
     for u, v in injective_image_pairs(7):
         m = Morphism((u, v))
-        if is_recognizable(m).recognizable:
-            assert is_primitivity_preserving(m).preserving
+        cls = power_words(m)
+        if is_recognizable(cls).recognizable:
+            assert is_primitivity_preserving(cls).preserving
 
 
 def test_decodes_over():
@@ -419,7 +467,7 @@ def check_pp_decomposition(outer, inner):
     Requires inner = (p, q) preserving, and no word mapped to a power by
     outer may be spellable from p and q.
     """
-    if not is_primitivity_preserving(inner).preserving:
+    if not is_primitivity_preserving(power_words(inner)).preserving:
         return False
     cls = power_words(outer)
     if any(inner.decode(bytes([c])) is not None for c in cls.letter_witnesses):
@@ -441,10 +489,10 @@ def test_check_pp_decomposition_matches_composition():
     for _ in range(300):
         outer = Morphism(rng.choice(pairs))
         inner = Morphism(rng.choice(pairs))
-        expected = is_primitivity_preserving(compose(outer, inner)).preserving
+        expected = is_primitivity_preserving(power_words(compose(outer, inner))).preserving
         assert check_pp_decomposition(outer, inner) == expected
     # A long rotation witness, ab^4000, of 4 001 letters.
     outer = bm("a" + "b" * 4000 + "a", "b")
     assert len(power_words(outer).rotation_witness) == 4001
-    expected = is_primitivity_preserving(compose(outer, THUE_MORSE)).preserving
+    expected = is_primitivity_preserving(power_words(compose(outer, THUE_MORSE))).preserving
     assert check_pp_decomposition(outer, THUE_MORSE) == expected

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bwtmorph.cli import main
 from bwtmorph.morphisms import PERIOD_DOUBLING, THUE_MORSE, Morphism
-from bwtmorph.primitivity import is_recognizable
+from bwtmorph.primitivity import is_recognizable, power_words
 from bwtmorph.syncing import (
     FULL_BINARY,
     BoundedLetterRuns,
@@ -406,12 +406,12 @@ def test_full_scope_decision_equals_recognizability():
                 if u + v == v + u:
                     continue
                 verdict = decide_sync_finite_delay(m, FULL_BINARY)
-                assert verdict.synchronizing == is_recognizable(m).recognizable, (u, v)
+                assert verdict.synchronizing == is_recognizable(power_words(m)).recognizable, (u, v)
 
 
 def test_recognizability_bridge_on_samples():
     for m in (REC, CONJ, THUE_MORSE, bm("ab", "ab" + "b")):
-        expected = is_recognizable(m).recognizable
+        expected = is_recognizable(power_words(m)).recognizable
         unique = True
         for n in range(1, 9):
             for tup in product((0, 1), repeat=n):
@@ -426,7 +426,7 @@ def test_recognizability_bridge_on_samples():
 
 def test_recognizable_morphisms_are_injective_on_necklaces():
     for m in (REC, bm("ab", "b"), bm("aab", "b")):
-        assert is_recognizable(m).recognizable
+        assert is_recognizable(power_words(m)).recognizable
         seen = {}
         for n in range(1, 7):
             for rep in necklaces(2, n):
