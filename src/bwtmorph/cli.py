@@ -59,7 +59,7 @@ from .syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from .words import Alphabet, Word, all_circular_factors, constant_words, necklaces, rle
+from .words import EMPTY, Alphabet, all_circular_factors, constant_words, necklaces, rle
 
 
 class CliError(ValueError):
@@ -243,12 +243,15 @@ def cmd_sync(args) -> Result:
     _require(len(w) > 0, "sync needs a non-empty word")
     image = m.apply(w)
     facts = circular_factorizations(image, m)
-    delay = sync_delay_for_word(m, w)
-    by_length: list[list[Word]] = [[] for _ in range(len(image) + 1)]
-    for f in all_circular_factors(image):
-        by_length[len(f)].append(f)
-    # A factor at least as long as the delay has a pair by the delay's definition.
-    walked = len(by_length) if delay is None else delay
+    delay, longest = sync_delay_for_word(m, w)
+    with_pair = [0] * (len(image) + 1)
+    total = [0] * (len(image) + 1)
+    # A factor f at start i has a pair iff |f| > b(i); every start of f agrees.
+    for f, start in all_circular_factors(image).items():
+        total[len(f)] += 1
+        with_pair[len(f)] += len(f) > longest[start]
+    # b(i) says nothing of the empty factor, whose one split is its only pair.
+    with_pair[0] = len(find_sync_pairs(EMPTY, m))
     payload = {
         "image": target.render(image),
         "factorizations": [
@@ -256,12 +259,8 @@ def cmd_sync(args) -> Result:
         ],
         "delay": delay,
         "factors_with_sync_pair": [
-            {
-                "length": length,
-                "with_pair": sum(1 for f in factors if length >= walked or find_sync_pairs(f, m)),
-                "total": len(factors),
-            }
-            for length, factors in enumerate(by_length)
+            {"length": length, "with_pair": pairs, "total": count}
+            for length, (pairs, count) in enumerate(zip(with_pair, total))
         ],
     }
     return payload, _sync_text
@@ -374,7 +373,9 @@ def _parse_range(text: str) -> range:
         ks = range(int(low), int(high if dots else low) + 1)
     except ValueError:
         raise CliError(f"bad --k {text!r}: use <k> or <low>..<high> with integers") from None
-    _require(len(ks) > 0, f"empty --k range {text!r}: the low end exceeds the high end")
+    # len() of a range past sys.maxsize values overflows, so the bounds are compared.
+    _require(ks.stop > ks.start, f"empty --k range {text!r}: the low end exceeds the high end")
+    _require(ks.stop - ks.start <= sys.maxsize, f"--k range {text!r} has more than {sys.maxsize} values")
     return ks
 
 

@@ -56,6 +56,11 @@ class SyncPair(NamedTuple):
     split: int
 
 
+class SyncDelay(NamedTuple):
+    delay: int | None
+    longest: tuple[int, ...]
+
+
 class SyncVerdict(NamedTuple):
     synchronizing: bool
     reason: str
@@ -146,19 +151,19 @@ def find_sync_pairs(factor: Word, m: Morphism) -> list[SyncPair]:
     return [SyncPair(factor, s) for s in range(len(factor) + 1) if survivors >> s & 1]
 
 
-def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
+def sync_delay_for_word(m: Morphism, w: Word) -> SyncDelay:
     """Least k such that every circular factor of m(w) of length >= k has a sync pair.
 
-    The quantification runs over all binary source words. None when some
-    full rotation of the image admits no pair at all. A pair of u is a pair
-    of every factor that extends u, since each interpretation of the longer
-    factor restricts to one of u; so the factors without a pair are closed
-    under taking factors. Let b(i) be the length of the longest factor
-    without a pair that starts at position i of the circular image. By that
-    closure, b(i) > L iff the factor of length L + 1 at i has no pair, so one
-    pass over the starts keeps L = max b so far, growing it at each start
-    while that factor has no pair; it decides at most 2|m(w)| factors. The
-    delay is max b(i) + 1, or None when some b(i) reaches |m(w)|.
+    The quantification runs over all binary source words. A pair of u is a
+    pair of every factor that extends u, since each interpretation of the
+    longer factor restricts to one of u; so the factors without a pair are
+    closed under taking factors. Let b(i), returned in `longest`, be the
+    length of the longest non-empty factor without a pair that starts at
+    position i of the circular image. By that closure, the lengths without a
+    pair at i are 1 .. b(i), and b(i) >= b(i-1) - 1, so one pass starts each
+    i at max(b(i-1) - 1, 0) and grows while the next factor has no pair; it
+    decides at most 3|m(w)| factors. The delay is max b(i) + 1, or None when
+    some b(i) reaches |m(w)|.
     """
     _require_injective(m)
     if not w:
@@ -166,13 +171,14 @@ def sync_delay_for_word(m: Morphism, w: Word) -> int | None:
     image = m.apply(w)
     n = len(image)
     doubled = image + image
-    longest = 0
+    longest: list[int] = []
+    length = 0
     for start in range(n):
-        while longest < n and not _interpretation_splits(doubled[start : start + longest + 1], m.images):
-            longest += 1
-        if longest == n:
-            return None
-    return longest + 1
+        length = max(length - 1, 0)
+        while length < n and not _interpretation_splits(doubled[start : start + length + 1], m.images):
+            length += 1
+        longest.append(length)
+    return SyncDelay(None if n in longest else max(longest) + 1, tuple(longest))
 
 
 def decide_sync_finite_delay(m: Morphism, scope: Scope) -> SyncVerdict:

@@ -96,21 +96,13 @@ def is_primitive(w: Word) -> bool:
     return (w + w).find(w, 1) == len(w)
 
 
-def circular_factors(w: Word, length: int) -> set[Word]:
-    """Distinct length-`length` factors occurring in some rotation of w."""
-    if length < 0 or length > len(w):
-        raise ValueError(f"factor length {length} out of range for |w|={len(w)}")
-    if length == 0:
-        return {EMPTY}
-    doubled = w + w[: length - 1]
-    return {doubled[i : i + length] for i in range(len(w))}
-
-
-def all_circular_factors(w: Word) -> set[Word]:
-    """Union of circular_factors(w, k) over every k in [0, |w|]."""
-    found: set[Word] = {EMPTY}
+def all_circular_factors(w: Word) -> dict[Word, int]:
+    """Each distinct factor of some rotation of w, the empty one included, with its least start."""
+    # Starts run down, so a factor keeps its least one; every length shares the list's ints.
+    doubled, starts = w + w, list(range(len(w) - 1, -1, -1))
+    found: dict[Word, int] = {EMPTY: 0}
     for length in range(1, len(w) + 1):
-        found |= circular_factors(w, length)
+        found.update({doubled[i : i + length]: i for i in starts})
     return found
 
 

@@ -1,8 +1,8 @@
 """Generic helpers that several test modules share.
 
 Oracles stay in the test module of their topic; this module holds only the
-word builders, enumerators, the per-word run deltas, the runtime budget and
-the opt-in marker.
+word builders, enumerators (circular factors among them), the per-word run
+deltas, the runtime budget and the opt-in marker.
 """
 
 import os
@@ -58,6 +58,16 @@ def binary_words(max_len, min_len=0):
     for n in range(min_len, max_len + 1):
         for tup in product((0, 1), repeat=n):
             yield bytes(tup)
+
+
+def circular_factors(word, length):
+    """Distinct length-`length` factors occurring in some rotation of word."""
+    if length < 0 or length > len(word):
+        raise ValueError(f"factor length {length} out of range for |w|={len(word)}")
+    if length == 0:
+        return {b""}
+    doubled = word + word[: length - 1]
+    return {doubled[i : i + length] for i in range(len(word))}
 
 
 def injective_image_pairs(max_size):

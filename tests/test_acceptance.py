@@ -42,8 +42,8 @@ from bwtmorph.syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from bwtmorph.words import BINARY, Alphabet, circular_factors, is_primitive
-from helpers import bm, budget, delta_plus
+from bwtmorph.words import BINARY, Alphabet, is_primitive
+from helpers import bm, budget, circular_factors, delta_plus
 from test_bwt import bwt_of_power
 from test_sensitivity import cyclic_sensitivity_constants, rho_ms_bound_check
 
@@ -217,10 +217,10 @@ def test_criterion_08_recognizability_fixtures(capsys):
 def test_criterion_09_synchronization(capsys):
     with budget(10.0) as timer:
         for n in range(2, 6):
-            assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")) == 2 * n + 1, n
+            assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")).delay == 2 * n + 1, n
         image = THUE_MORSE.apply(w("abbaab"))
         assert BINARY.render(image) == "abbabaababba"
-        assert sync_delay_for_word(THUE_MORSE, w("abbaab")) == 5
+        assert sync_delay_for_word(THUE_MORSE, w("abbaab")).delay == 5
         assert all(find_sync_pairs(f, THUE_MORSE) for f in circular_factors(image, 5))
         assert any(not find_sync_pairs(f, THUE_MORSE) for f in circular_factors(image, 4))
         assert decide_sync_finite_delay(THUE_MORSE, BoundedLetterRuns(2, 2)).synchronizing

@@ -375,8 +375,7 @@ def test_oversized_parameters_are_one_error_line(capsys):
     # rho:p builds an image of p letters; 10**14 bytes fail to allocate at once.
     code, out, err = run_cli(capsys, "apply", "rho:99999999999999", "ab")
     assert (code, out, err) == (1, "", "error: out of memory\n")
-    # A size over the largest index fails before anything is allocated, with
-    # the interpreter's OverflowError message.
+    # A size over the largest index fails before anything is allocated.
     for argv in (("apply", f"rho:{10**21}", "ab"), ("experiment", "fib-dollar", "--k", f"0..{10**21}")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv
@@ -408,6 +407,12 @@ def test_error_exit_codes(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:"), argv
+    # A range of more values than sys.maxsize is refused by name, not by
+    # the interpreter's overflow message.
+    huge = f"0..{10**21}"
+    for argv in (("experiment", "fib-dollar", "--k", huge), ("experiment", "rho", "--p", "2", "--k", huge)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and err == f"error: --k range {huge!r} has more than {sys.maxsize} values\n", argv
     with pytest.raises(SystemExit) as exc:
         main(["bwt"])
     assert exc.value.code == 2

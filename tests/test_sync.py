@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bwtmorph import syncing
 from bwtmorph.cli import main
 from bwtmorph.morphisms import PERIOD_DOUBLING, THUE_MORSE, Morphism
 from bwtmorph.primitivity import is_recognizable, power_words
@@ -19,8 +20,8 @@ from bwtmorph.syncing import (
     find_sync_pairs,
     sync_delay_for_word,
 )
-from bwtmorph.words import BINARY, all_circular_factors, circular_factors, necklaces
-from helpers import SLOW, binary_words, bm, budget, canonical_rotation, injective_image_pairs
+from bwtmorph.words import BINARY, all_circular_factors, necklaces
+from helpers import SLOW, binary_words, bm, budget, canonical_rotation, circular_factors, injective_image_pairs
 
 w = BINARY.word
 
@@ -209,8 +210,8 @@ def test_interpretation_splits_equal_the_oracle(images, factor):
 
 def test_sync_delay_for_word():
     for n in (2, 3):
-        assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")) == 2 * n + 1
-    assert sync_delay_for_word(THUE_MORSE, w("abbaab")) == 5
+        assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")).delay == 2 * n + 1
+    assert sync_delay_for_word(THUE_MORSE, w("abbaab")).delay == 5
 
 
 def top_down_delay(m, word):
@@ -238,13 +239,13 @@ def test_delay_equals_the_top_down_scan():
             key = (frozenset(m.images), canonical_rotation(m.apply(word)))
             if key not in scanned:
                 scanned[key] = top_down_delay(m, word)
-            assert sync_delay_for_word(m, word) == scanned[key], (u, v, word)
+            assert sync_delay_for_word(m, word).delay == scanned[key], (u, v, word)
 
 
 def test_sync_delay_for_long_a_runs():
     # Enumerating source words past each factor would need 2^(2n+4) of them.
     for n in range(1, 21):
-        assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")) == 2 * n + 1, n
+        assert sync_delay_for_word(THUE_MORSE, w("a" * n + "b")).delay == 2 * n + 1, n
 
 
 def run_sync(capsys, *argv):
@@ -289,9 +290,64 @@ def test_sync_cli_counts_with_a_one_letter_image(capsys):
     assert payload["delay"] == 1
 
 
+def test_longest_factor_without_a_pair_per_start():
+    # b(i) by its definition: the longest non-empty factor at start i to
+    # which find_sync_pairs gives no pair, for every injective image pair of
+    # size <= 4 and every word of <= 4 letters.
+    for u, v in injective_image_pairs(4):
+        m = Morphism((u, v))
+        for word in binary_words(4, min_len=1):
+            image = m.apply(word)
+            doubled = image + image
+            expected = tuple(
+                max((n for n in range(1, len(image) + 1) if not find_sync_pairs(doubled[i : i + n], m)), default=0)
+                for i in range(len(image))
+            )
+            assert sync_delay_for_word(m, word).longest == expected, (u, v, word)
+
+
+def test_sync_rows_equal_the_per_factor_oracle(capsys):
+    # Each row counted by deciding every distinct circular factor of its
+    # length on its own, for every injective image pair of size <= 4 and
+    # every word of <= 5 letters.
+    with budget(10.0):
+        for u, v in injective_image_pairs(4):
+            m = Morphism((u, v))
+            morphism = f"a={BINARY.render(u)},b={BINARY.render(v)}"
+            for word in binary_words(5, min_len=1):
+                image = m.apply(word)
+                expected = []
+                for n in range(len(image) + 1):
+                    factors = circular_factors(image, n)
+                    pairs = sum(1 for f in factors if find_sync_pairs(f, m))
+                    expected.append({"length": n, "with_pair": pairs, "total": len(factors)})
+                payload = json.loads(run_sync(capsys, morphism, "--word", BINARY.render(word), "--json"))
+                assert payload["factors_with_sync_pair"] == expected, (u, v, word)
+
+
+def test_sync_decides_at_most_three_factors_per_image_letter(capsys, monkeypatch):
+    # One pass over the starts decides every row; the empty factor's own
+    # walk fits in the same bound.
+    walk = syncing._interpretation_splits
+    calls = 0
+
+    def counted(u, images):
+        nonlocal calls
+        calls += 1
+        return walk(u, images)
+
+    monkeypatch.setattr(syncing, "_interpretation_splits", counted)
+    rng = random.Random(28)
+    words = ["a" * 20 + "b", "a" * 60 + "b"] + ["".join(rng.choice("ab") for _ in range(n)) for n in (50, 120)]
+    for word in words:
+        calls = 0
+        run_sync(capsys, "thue-morse", "--word", word)
+        assert 0 < calls <= 3 * len(THUE_MORSE.apply(w(word))), (word, calls)
+
+
 def test_sync_delay_monotone_at_the_threshold():
     word = w("aab")
-    delay = sync_delay_for_word(THUE_MORSE, word)
+    delay = sync_delay_for_word(THUE_MORSE, word).delay
     image = THUE_MORSE.apply(word)
     factors = all_circular_factors(image)
     assert all(find_sync_pairs(f, THUE_MORSE) for f in factors if len(f) >= delay)
@@ -301,7 +357,7 @@ def test_sync_delay_monotone_at_the_threshold():
 def test_sync_delay_absent_when_a_rotation_never_synchronizes():
     # The image rotation aab of baa forces incompatible splits from the
     # contexts aa and ab, so no delay up to the image length works.
-    assert sync_delay_for_word(REC, w("a")) is None
+    assert sync_delay_for_word(REC, w("a")).delay is None
     assert brute_splits(w("aab"), REC, 7) == set()
     assert brute_splits(w("baa"), REC, 7) != set()
 

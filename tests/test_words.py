@@ -11,7 +11,6 @@ from bwtmorph.words import (
     Alphabet,
     EmptyWordError,
     all_circular_factors,
-    circular_factors,
     commute,
     constant_words,
     is_primitive,
@@ -19,7 +18,7 @@ from bwtmorph.words import (
     primitive_root,
     rle,
 )
-from helpers import binary_words, canonical_rotation, rotations
+from helpers import binary_words, canonical_rotation, circular_factors, rotations
 
 w = BINARY.word
 
@@ -103,9 +102,10 @@ def test_circular_factors_against_rotation_slicing():
         for length in range(len(word) + 1):
             expected = {rot[:length] for rot in rotations(word)}
             assert circular_factors(word, length) == expected
-        assert all_circular_factors(word) == {
-            f for length in range(len(word) + 1) for f in circular_factors(word, length)
-        }
+        factors = all_circular_factors(word)
+        assert set(factors) == {f for length in range(len(word) + 1) for f in circular_factors(word, length)}
+        # The least start of a circular factor is its first occurrence in ww.
+        assert all((word + word).find(f) == start for f, start in factors.items())
 
 
 def test_commute():
